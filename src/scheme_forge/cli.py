@@ -18,7 +18,10 @@ from . import designs, fission, groups, planes, products, scheme_core
 from .scheme_core import FormatError, Scheme, SchemeForgeError
 
 NA = "n/a (hypothesis unmet)"
-_POINTWISE_LIMIT = 64  # past this many points, per-point sweeps sample point 0
+
+
+class UsageError(Exception):
+    """A command-line value is malformed or names a point the scheme lacks."""
 
 
 @dataclass(frozen=True)
@@ -105,8 +108,14 @@ def _build_context(scheme: Scheme, source: str, bound: int, cutoff: int, radius:
             ctx["aut"] = groups.automorphism_group(scheme, bound)
         except groups.BoundExceeded as err:
             ctx["aut_error"] = err
-        points = range(scheme.n) if scheme.n <= _POINTWISE_LIMIT else (0,)
-        ctx["points"] = tuple(points)
+        # An automorphism g carries sigma_alpha to its conjugate at g(alpha)
+        # and the fission at alpha onto the fission at g(alpha), so the
+        # per-point checks need one point per orbit; without the group,
+        # every point is its own orbit.
+        if ctx["aut"] is None:
+            ctx["points"] = tuple(range(scheme.n))
+        else:
+            ctx["points"] = tuple(orbit[0] for orbit in groups.orbits(ctx["aut"]))
         if ctx["aut"] is not None and ctx["pp"] is not None and ctx["pp"].s3:
             for alpha in ctx["points"]:
                 ctx["sigma"][alpha] = groups.sigma_alpha(scheme, alpha, group=ctx["aut"])
@@ -115,6 +124,10 @@ def _build_context(scheme: Scheme, source: str, bound: int, cutoff: int, radius:
                 ctx["fissions"][alpha] = fission.point_fission(scheme, (alpha,))
     else:
         ctx["points"] = ()
+    # Fissions run here, on the calling thread: glibc gives each pool thread
+    # its own malloc arena, which keeps a fission's freed working set, so
+    # fissions on pool threads add up in the process's peak memory.
+    ctx["base_number"] = _base_number(ctx)
     return ctx
 
 
@@ -210,7 +223,7 @@ def _check_sigma_alpha(ctx):
     missing = [alpha for alpha in ctx["points"] if ctx["sigma"].get(alpha) is None]
     if missing:
         return "fail", "no rotation automorphism at points %s" % missing
-    return "pass", "rotation automorphism at %d points" % len(ctx["points"])
+    return "pass", "rotation automorphism at %d points" % ctx["scheme"].n
 
 
 def _plane_base(ctx, s, alpha):
@@ -299,7 +312,7 @@ def _check_semiregular(ctx):
     for alpha in ctx["points"]:
         if not fission.is_semiregular_off(ctx["fissions"][alpha], alpha):
             return "fail", "fission at point %d is not semiregular" % alpha
-    return "pass", "semiregular off each of %d split points" % len(ctx["points"])
+    return "pass", "semiregular off each of %d split points" % ctx["scheme"].n
 
 
 def _check_fiber_rows(ctx):
@@ -309,10 +322,10 @@ def _check_fiber_rows(ctx):
     for alpha in ctx["points"]:
         if not fission.fibers_refine_rows(scheme, ctx["fissions"][alpha], alpha):
             return "fail", "a fiber at point %d straddles two rows" % alpha
-    return "pass", "fibers sit inside single rows at %d split points" % len(ctx["points"])
+    return "pass", "fibers sit inside single rows at %d split points" % scheme.n
 
 
-def _check_base_number(ctx):
+def _base_number(ctx):
     if ctx["k"] != 4:
         return NA, "needs common valency 4"
     scheme = ctx["scheme"]
@@ -334,16 +347,20 @@ def _check_base_number(ctx):
             pair,
             int(scheme.color[pair]),
         )
-    if scheme.n > _POINTWISE_LIMIT:
-        return NA, "recorded only for small schemes"
     try:
-        size, witness = fission.find_base(scheme, ctx["cutoff"])
+        size, witness = fission.find_base(
+            scheme, ctx["cutoff"], group=ctx["aut"], fissions=ctx["fissions"]
+        )
     except fission.CutoffExceeded:
         return NA, "recorded: base number exceeds cutoff %d" % ctx["cutoff"]
     return NA, "recorded: base number %d, witness %s (no doubled-square color)" % (
         size,
         witness,
     )
+
+
+def _check_base_number(ctx):
+    return ctx["base_number"]
 
 
 def _check_design(ctx):
@@ -441,6 +458,16 @@ def _load_scheme(path: str) -> Scheme:
     return scheme_core.load_asc(path)
 
 
+def _parse_points(text: str, n: int) -> tuple[int, ...]:
+    try:
+        points = tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise UsageError("%r is not a comma-separated list of points" % text) from None
+    if not all(0 <= p < n for p in points):
+        raise UsageError("points must lie in 0..%d, got %s" % (n - 1, text))
+    return points
+
+
 def _cmd_gen(args) -> int:
     if args.family == "cyclotomic":
         group = groups.cyclotomic_frobenius(args.p)
@@ -525,12 +552,13 @@ def _cmd_lemmas(args) -> int:
 def _cmd_plane(args) -> int:
     scheme = _load_scheme(args.file)
     pp = products.phi_psi(scheme)
-    alpha = args.alpha
+    (alpha,) = _parse_points(str(args.alpha), scheme.n)
+    if not 0 < args.s < scheme.r:
+        raise UsageError("--s must be a non-diagonal color in 1..%d" % (scheme.r - 1))
     if args.base:
-        parts = [int(p) for p in args.base.split(",")]
+        parts = _parse_points(args.base, scheme.n)
         if len(parts) != 4:
-            print("--base needs four points: beta,gamma,delta,epsilon", file=sys.stderr)
-            return 2
+            raise UsageError("--base needs four points: beta,gamma,delta,epsilon")
         base = (alpha, *parts)
     else:
         aut = groups.automorphism_group(scheme, args.bound)
@@ -572,16 +600,15 @@ def _cmd_plane(args) -> int:
 
 def _cmd_fission(args) -> int:
     scheme = _load_scheme(args.file)
-    points = tuple(int(p) for p in args.points.split(","))
+    points = _parse_points(args.points, scheme.n)
     report = fission.describe_fission(scheme, points)
-    cfg = fission.point_fission(scheme, points)
     if args.json:
         _emit_json(
             {
                 "distinguished": list(report.distinguished),
                 "num_colors": report.num_colors,
                 "num_fibers": report.num_fibers,
-                "fibers": [list(f) for f in cfg.fibers],
+                "fibers": [list(f) for f in report.fibers],
                 "semiregular_off": report.semiregular_off,
                 "complete": report.complete,
             }
@@ -589,7 +616,7 @@ def _cmd_fission(args) -> int:
     else:
         print("distinguished: %s" % (list(report.distinguished),))
         print("colors: %d  fibers: %d" % (report.num_colors, report.num_fibers))
-        for fiber in cfg.fibers:
+        for fiber in report.fibers:
             print("fiber: %s" % (list(fiber),))
         print("complete: %s" % report.complete)
         if report.semiregular_off is None:
@@ -793,6 +820,9 @@ def run(argv=None) -> int:
         return 2
     try:
         return func(args)
+    except UsageError as err:
+        print("usage error: %s" % err, file=sys.stderr)
+        return 2
     except FormatError as err:
         print("bad input file: %s" % err, file=sys.stderr)
         return 3

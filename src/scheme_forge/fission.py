@@ -9,7 +9,6 @@ every round, so results are deterministic.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,8 @@ from .scheme_core import (
     _scan_dual,
     canonical_relabel,
 )
-from .products import NotFourEquivalenced, phi_psi
+from .groups import PermGroup, enumerate_elements, identity_perm
+from .products import phi_psi
 
 DEFAULT_CUTOFF = 3
 
@@ -59,6 +59,7 @@ class FissionReport:
     num_fibers: int
     semiregular_off: int | None
     complete: bool
+    fibers: tuple[tuple[int, ...], ...]
 
 
 def _relabel_rows_first_occurrence(rows: np.ndarray) -> tuple[np.ndarray, int]:
@@ -176,40 +177,59 @@ def describe_fission(scheme: Scheme, points) -> FissionReport:
         if not ok:
             failed = alpha
             break
-    return FissionReport(delta, cc.num_colors, len(cc.fibers), failed, cc.is_complete)
+    return FissionReport(delta, cc.num_colors, len(cc.fibers), failed, cc.is_complete, cc.fibers)
 
 
-def _size_two_order(scheme: Scheme):
-    """Pairs with a doubled-square color first, then the rest, lex order."""
-    pairs = list(itertools.combinations(range(scheme.n), 2))
-    try:
-        pp = phi_psi(scheme)
-    except (NotFourEquivalenced, SchemeForgeError):
-        return pairs
-    if not pp.s2:
-        return pairs
-    preferred = [p for p in pairs if int(scheme.color[p[0], p[1]]) in pp.s2]
-    rest = [p for p in pairs if int(scheme.color[p[0], p[1]]) not in pp.s2]
-    return preferred + rest
+def _orbit_least_sets(n: int, size: int, elements):
+    """Sorted point sets of one size in lexicographic order, least ones per orbit.
+
+    A set x1 < ... < xk is produced when each x(j+1) is the least point
+    of its orbit under the elements that fix x1..xj.  The least set of
+    every orbit of the group on k-sets has this form.
+    """
+
+    def extend(prefix, stabilizer):
+        if len(prefix) == size:
+            yield prefix
+            return
+        for y in range(prefix[-1] + 1 if prefix else 0, n):
+            if all(g[y] >= y for g in stabilizer):
+                yield from extend(prefix + (y,), [g for g in stabilizer if g[y] == y])
+
+    return extend((), elements)
 
 
-def find_base(scheme: Scheme, cutoff: int = DEFAULT_CUTOFF) -> tuple[int, tuple[int, ...]]:
+def find_base(scheme: Scheme, cutoff: int = DEFAULT_CUTOFF, group: PermGroup | None = None,
+              fissions: dict[int, CoherentConfiguration] | None = None,
+              ) -> tuple[int, tuple[int, ...]]:
     """Smallest point set whose fission is complete, with its witness.
 
     Sizes are tried in increasing order, sets in lexicographic order
     (except that size-2 candidates whose color has a doubled square come
-    first); the first complete fission wins.
+    first); the first complete fission wins.  Given a group of
+    automorphisms, a set is tried only when each point is the least of
+    its orbit under the stabilizer of the points before it: the group
+    carries complete sets to complete sets and doubled-square pairs to
+    doubled-square pairs, so the witness is the same as without it.
+    fissions maps points to one-point fissions that are already built.
     """
     if scheme.n == 1:
         return 0, ()
+    elements = enumerate_elements(group) if group is not None else (identity_perm(scheme.n),)
+    known = fissions or {}
     for size in range(1, cutoff + 1):
+        candidates = _orbit_least_sets(scheme.n, size, elements)
         if size == 2:
-            candidates = _size_two_order(scheme)
-        else:
-            candidates = itertools.combinations(range(scheme.n), size)
+            try:
+                doubled = phi_psi(scheme).s2
+            except SchemeForgeError:
+                doubled = ()
+            candidates = sorted(candidates, key=lambda p: int(scheme.color[p]) not in doubled)
         for delta in candidates:
-            if point_fission(scheme, delta).is_complete:
-                return size, tuple(delta)
+            in_hand = size == 1 and delta[0] in known
+            cc = known[delta[0]] if in_hand else point_fission(scheme, delta)
+            if cc.is_complete:
+                return size, delta
     raise CutoffExceeded("no complete fission from at most %d points" % cutoff)
 
 

@@ -19,7 +19,6 @@ from .scheme_core import (
     validate,
     _scan_dual,
 )
-from . import fission
 
 DEFAULT_BOUND = 10**6
 
@@ -150,20 +149,26 @@ def group_order(group: PermGroup, bound: int = DEFAULT_BOUND) -> int:
     return len(enumerate_elements(group, bound))
 
 
-def is_transitive(group: PermGroup) -> bool:
-    n = group.degree
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        fresh = []
-        for x in frontier:
+def orbits(group: PermGroup) -> tuple[tuple[int, ...], ...]:
+    """Orbits of the group on its points, each sorted, ordered by least point."""
+    seen = [False] * group.degree
+    out = []
+    for start in range(group.degree):
+        if seen[start]:
+            continue
+        seen[start] = True
+        orbit = [start]
+        for x in orbit:  # grows while it is read
             for g in group.generators:
-                y = g[x]
-                if y not in seen:
-                    seen.add(y)
-                    fresh.append(y)
-        frontier = fresh
-    return len(seen) == n
+                if not seen[g[x]]:
+                    seen[g[x]] = True
+                    orbit.append(g[x])
+        out.append(tuple(sorted(orbit)))
+    return tuple(out)
+
+
+def is_transitive(group: PermGroup) -> bool:
+    return len(orbits(group)) == 1
 
 
 def orbital_scheme(group: PermGroup) -> Scheme:
@@ -267,50 +272,31 @@ def frobenius_check(group: PermGroup, bound: int = DEFAULT_BOUND) -> bool:
     return some_fixer
 
 
-def _search_order(scheme: Scheme) -> list[int]:
-    # group points by the diagonal colors of the first point's fission so
-    # that backtracking meets tight constraints early; any order is correct
-    try:
-        cc = fission.point_fission(scheme, (0,))
-        diag = cc.color.diagonal()
-        return sorted(range(scheme.n), key=lambda x: (int(diag[x]), x))
-    except SchemeForgeError:
-        return list(range(scheme.n))
-
-
 def automorphism_group(scheme: Scheme, bound: int = DEFAULT_BOUND) -> PermGroup:
     """All color-preserving permutations, by backtracking over point images."""
     n = scheme.n
     color = scheme.color
-    order = _search_order(scheme)
     elements: list[Perm] = []
     img = np.full(n, -1, dtype=np.int64)
     used = np.zeros(n, dtype=bool)
-    placed_pts = np.array(order, dtype=np.int64)
 
-    def place(k: int) -> None:
-        if k == n:
+    def place(x: int) -> None:
+        # points are placed in index order, so 0..x-1 already have images
+        if x == n:
             if len(elements) >= bound:
                 raise BoundExceeded("more than %d automorphisms" % bound)
             elements.append(tuple(int(v) for v in img))
             return
-        x = order[k]
-        if k == 0:
-            mask = ~used
-        else:
-            pts = placed_pts[:k]
-            imgs = img[pts]
-            fwd = color[pts, x]
-            bwd = color[x, pts]
-            mask = (
-                (color[imgs, :] == fwd[:, None]).all(axis=0)
-                & (color[:, imgs] == bwd[None, :]).all(axis=1)
-                & ~used
-            )
+        imgs = img[:x]
+        mask = (
+            (color[imgs, :] == color[:x, x][:, None]).all(axis=0)
+            & (color[:, imgs] == color[x, :x][None, :]).all(axis=1)
+            & ~used
+        )
         for y in np.nonzero(mask)[0]:
             img[x] = y
             used[y] = True
-            place(k + 1)
+            place(x + 1)
             used[y] = False
         img[x] = -1
 

@@ -337,8 +337,12 @@ def read_asc(text: str) -> Scheme:
             mat[i] = [int(p) for p in parts]
         except ValueError:
             raise FormatError("row %d has a non-integer entry" % i) from None
+        except OverflowError:
+            raise FormatError("color entries must lie in 0..%d" % (r - 1)) from None
     if mat.min() < 0 or mat.max() >= r:
         raise FormatError("color entries must lie in 0..%d" % (r - 1))
+    if len(np.unique(mat)) != r:
+        raise FormatError("header declares %d colors but some never occur" % r)
     dual = _scan_dual(mat, r)
     return validate(n, r, mat, dual)
 

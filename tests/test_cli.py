@@ -3,6 +3,7 @@ import json
 import pytest
 
 import scheme_forge as sf
+from scheme_forge import fission
 from scheme_forge.cli import run
 
 
@@ -197,3 +198,55 @@ def test_report_v25_asserts_base_number(v25_file, capsys):
     assert by_name["base-number"]["status"] == "pass"
     assert by_name["independent-product-split"]["status"] == "pass"
     assert by_name["frobenius-witness"]["status"] == "pass"
+
+
+@pytest.fixture(scope="module")
+def two_point_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "two.asc"
+    path.write_text("2 2\n0 1\n1 0\n")
+    return str(path)
+
+
+def _exit_without_traceback(argv, capsys):
+    code = run(argv)
+    assert "Traceback" not in capsys.readouterr().err
+    return code
+
+
+def test_fission_points_not_integers_exit_2(two_point_file, capsys):
+    assert _exit_without_traceback(["fission", two_point_file, "--points", "a"], capsys) == 2
+
+
+def test_fission_point_out_of_range_exit_2(two_point_file, capsys):
+    assert _exit_without_traceback(["fission", two_point_file, "--points", "5"], capsys) == 2
+
+
+def test_plane_base_not_integers_exit_2(z13_file, capsys):
+    argv = ["plane", z13_file, "--s", "1", "--base", "a,b,c,d"]
+    assert _exit_without_traceback(argv, capsys) == 2
+
+
+def test_check_oversized_entry_exit_3(tmp_path, capsys):
+    path = tmp_path / "big.asc"
+    path.write_text("2 2\n0 99999999999999999999999\n1 0\n")
+    assert _exit_without_traceback(["check", str(path)], capsys) == 3
+
+
+def test_check_unused_color_exit_3(tmp_path, capsys):
+    path = tmp_path / "unused.asc"
+    path.write_text("2 3\n0 1\n1 0\n")
+    assert _exit_without_traceback(["check", str(path)], capsys) == 3
+
+
+def test_fission_command_stabilizes_once(z13_file, capsys, monkeypatch):
+    calls = []
+    original = fission.wl_stabilize
+
+    def counting(matrix):
+        calls.append(1)
+        return original(matrix)
+
+    monkeypatch.setattr(fission, "wl_stabilize", counting)
+    assert run(["fission", z13_file, "--points", "0"]) == 0
+    assert "fiber: [0]" in capsys.readouterr().out
+    assert len(calls) == 1
