@@ -555,14 +555,18 @@ def _cmd_plane(args) -> int:
     (alpha,) = _parse_points(str(args.alpha), scheme.n)
     if not 0 < args.s < scheme.r:
         raise UsageError("--s must be a non-diagonal color in 1..%d" % (scheme.r - 1))
+    if args.radius < 1:
+        raise UsageError("--radius must be at least 1")
     if args.base:
         parts = _parse_points(args.base, scheme.n)
         if len(parts) != 4:
             raise UsageError("--base needs four points: beta,gamma,delta,epsilon")
         base = (alpha, *parts)
     else:
-        aut = groups.automorphism_group(scheme, args.bound)
-        sigma = groups.sigma_alpha(scheme, alpha, group=aut)
+        try:
+            sigma = groups.sigma_alpha(scheme, alpha, bound=args.bound)
+        except groups.BoundExceeded:
+            sigma = None  # as the report does: take the first valid base below
         if sigma is not None:
             base = planes.sigma_base(scheme, sigma, args.s, alpha)
         else:
@@ -709,6 +713,8 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    if args.radius < 1:
+        raise UsageError("--radius must be at least 1")
     try:
         scheme = _load_scheme(args.file)
     except FormatError:
@@ -789,7 +795,7 @@ def _build_parser() -> argparse.ArgumentParser:
     base = _file_cmd("base", _cmd_base, "smallest point set with a complete fission")
     base.add_argument("--cutoff", type=int, default=fission.DEFAULT_CUTOFF)
 
-    aut = _file_cmd("aut", _cmd_aut, "automorphism group by backtracking")
+    aut = _file_cmd("aut", _cmd_aut, "automorphism group by a base-driven search")
     aut.add_argument("--bound", type=int, default=groups.DEFAULT_BOUND)
     aut.add_argument("-o", "--output", dest="out", default=None,
                      help="write generators to a .perm file")

@@ -3,10 +3,16 @@
 Permutations are tuples of images on 0..n-1.  compose(p, q) applies p
 first, then q.  Groups carry generators; element lists are enumerated by
 breadth-first closure on demand and cached.
+
+Automorphism groups come from a base-driven search (Sims 1970; McKay and
+Piperno 2014): once the images of a resolving base are chosen, every other
+point's image is forced, so only base images are enumerated, and each
+forced map is checked on all n x n pairs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +53,7 @@ def identity_perm(n: int) -> Perm:
 
 def compose(p: Perm, q: Perm) -> Perm:
     """Apply p, then q."""
-    return tuple(q[i] for i in p)
+    return tuple(map(q.__getitem__, p))
 
 
 def inverse(p: Perm) -> Perm:
@@ -70,14 +76,8 @@ def perm_order(p: Perm) -> int:
             seen[x] = True
             x = p[x]
             length += 1
-        order = _lcm(order, length)
+        order = math.lcm(order, length)
     return order
-
-
-def _lcm(a: int, b: int) -> int:
-    import math
-
-    return a * b // math.gcd(a, b)
 
 
 def fixed_points(p: Perm) -> tuple[int, ...]:
@@ -256,54 +256,67 @@ def vector_frobenius(p: int, d: int, max_degree: int = 2048) -> PermGroup:
 def frobenius_check(group: PermGroup, bound: int = DEFAULT_BOUND) -> bool:
     """Transitive, some non-identity element fixes a point, none fixes two."""
     elems = enumerate_elements(group, bound)
-    n = group.degree
-    if len(set(g[0] for g in elems)) != n:
+    ident = identity_perm(group.degree)
+    if len({g[0] for g in elems}) != group.degree:
         return False
-    ident = identity_perm(n)
-    some_fixer = False
-    for g in elems:
-        if g == ident:
-            continue
-        fixed = sum(1 for i, v in enumerate(g) if i == v)
-        if fixed >= 2:
-            return False
-        if fixed == 1:
-            some_fixer = True
-    return some_fixer
+    fixed = [len(fixed_points(g)) for g in elems if g != ident]
+    return max(fixed, default=0) <= 1 and 1 in fixed
 
 
 def automorphism_group(scheme: Scheme, bound: int = DEFAULT_BOUND) -> PermGroup:
-    """All color-preserving permutations, by backtracking over point images."""
-    n = scheme.n
-    color = scheme.color
-    elements: list[Perm] = []
-    img = np.full(n, -1, dtype=np.int64)
-    used = np.zeros(n, dtype=bool)
+    """All color-preserving permutations, by a base-driven search.
 
-    def place(x: int) -> None:
-        # points are placed in index order, so 0..x-1 already have images
-        if x == n:
+    Since color(g(b), g(x)) = color(b, x), x goes to the point whose colors
+    from the base images equal its own colors from the base.
+    """
+    color = scheme.color
+    base = _resolving_base(color, scheme.r)
+    key_order = np.lexsort(color[base, :][::-1])
+    sorted_keys = color[base, :][:, key_order]
+    elements: list[Perm] = []
+
+    def extend(images: list[int]) -> None:
+        i = len(images)
+        if i == len(base):
+            found = color[images, :]
+            order = np.lexsort(found[::-1])
+            if not np.array_equal(found[:, order], sorted_keys):
+                return
+            img = np.empty(scheme.n, dtype=np.int64)
+            img[key_order] = order
+            if not np.array_equal(color[np.ix_(img, img)], color):
+                return
             if len(elements) >= bound:
                 raise BoundExceeded("more than %d automorphisms" % bound)
-            elements.append(tuple(int(v) for v in img))
+            elements.append(tuple(img.tolist()))
             return
-        imgs = img[:x]
-        mask = (
-            (color[imgs, :] == color[:x, x][:, None]).all(axis=0)
-            & (color[:, imgs] == color[x, :x][None, :]).all(axis=1)
-            & ~used
-        )
+        mask = np.ones(scheme.n, dtype=bool)
+        for b, c in zip(base, images):
+            mask &= color[c, :] == color[b, base[i]]
         for y in np.nonzero(mask)[0]:
-            img[x] = y
-            used[y] = True
-            place(x + 1)
-            used[y] = False
-        img[x] = -1
+            extend(images + [int(y)])
 
-    place(0)
+    extend([])
     elements.sort()
-    gens = _greedy_generators(elements, n)
-    return PermGroup(n, tuple(gens), _elements=tuple(elements))
+    gens = _greedy_generators(elements, scheme.n)
+    return PermGroup(scheme.n, tuple(gens), _elements=tuple(elements))
+
+
+def _resolving_base(color: np.ndarray, r: int) -> list[int]:
+    """Points whose color rows give every point a distinct code, chosen greedily:
+    each step adds the least point that splits the codes into the most classes.
+    A point always splits off itself, as color 0 is the diagonal, so this ends.
+    """
+    base: list[int] = []
+    cells = np.zeros(len(color), dtype=np.int64)
+    while not base or cells.max() + 1 < len(color):
+        trial = cells[None, :] * r + color  # row p: the codes if p joins
+        ranked = np.sort(trial, axis=1)
+        classes = (np.diff(ranked, axis=1) != 0).sum(axis=1)
+        p = int(np.argmax(classes))
+        base.append(p)
+        cells = np.unique(trial[p], return_inverse=True)[1]
+    return base
 
 
 def _greedy_generators(elements, n: int) -> list[Perm]:
@@ -366,35 +379,18 @@ def _partition_matches(scheme: Scheme, other_color: np.ndarray) -> bool:
     )
 
 
-def _frobenius_elements(elems, n: int) -> bool:
-    ident = identity_perm(n)
-    if len(set(g[0] for g in elems)) != n:
-        return False
-    some_fixer = False
-    for g in elems:
-        if g == ident:
-            continue
-        fixed = sum(1 for i, v in enumerate(g) if i == v)
-        if fixed >= 2:
-            return False
-        if fixed == 1:
-            some_fixer = True
-    return some_fixer
-
-
 def _certificate_from(scheme: Scheme, elems) -> FrobeniusCertificate | None:
-    elems = sorted(elems)
+    elems = tuple(sorted(elems))
     n = scheme.n
-    if not _frobenius_elements(elems, n):
+    witness = PermGroup(n, tuple(_greedy_generators(elems, n)), _elements=elems)
+    if not frobenius_check(witness):
         return None
-    gens = _greedy_generators(elems, n)
-    witness = PermGroup(n, tuple(gens), _elements=tuple(elems))
     orbital = orbital_scheme(witness)
     if not _partition_matches(scheme, orbital.color):
         return None
     ident = identity_perm(n)
     kernel = 1 + sum(1 for g in elems if g != ident and not fixed_points(g))
-    if kernel == 0 or len(elems) % kernel != 0:
+    if len(elems) % kernel != 0:
         return None
     return FrobeniusCertificate(witness, kernel, len(elems) // kernel, True)
 
@@ -423,26 +419,18 @@ def frobenius_witness(scheme: Scheme, group: PermGroup | None = None,
         and perm_order(g) == 4
         and cycles_of(g, skip=(0,)) == rows
     ]
-    target = 4 * n
 
-    kernel = set(fpf)
-    kernel.add(ident)
-    if len(kernel) == n and all(
-        compose(a, b) in kernel for a in kernel for b in kernel
-    ):
-        for sigma in rotations:
-            closed = _closure(list(kernel) + [sigma], n, target)
-            if closed is None or len(closed) != target:
-                continue
-            cert = _certificate_from(scheme, closed)
-            if cert is not None:
-                return cert
-
-    for sigma in rotations:
-        for tau in fpf:
-            closed = _closure([sigma, tau], n, target)
-            if closed is None or len(closed) != target:
-                continue
+    candidates = []
+    kernel = set(fpf) | {ident}
+    if len(kernel) == n:
+        # the kernel is a subgroup exactly when its greedy generators close into it
+        kernel_gens = _greedy_generators(sorted(kernel), n)
+        if _closure(kernel_gens, n, n) == kernel:
+            candidates = [kernel_gens + [sigma] for sigma in rotations]
+    candidates += [[sigma, tau] for sigma in rotations for tau in fpf]
+    for gens in candidates:
+        closed = _closure(gens, n, 4 * n)
+        if closed is not None and len(closed) == 4 * n:
             cert = _certificate_from(scheme, closed)
             if cert is not None:
                 return cert

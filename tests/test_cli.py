@@ -250,3 +250,21 @@ def test_fission_command_stabilizes_once(z13_file, capsys, monkeypatch):
     assert run(["fission", z13_file, "--points", "0"]) == 0
     assert "fiber: [0]" in capsys.readouterr().out
     assert len(calls) == 1
+
+
+def test_plane_radius_below_one_exit_2(z13_file, capsys):
+    argv = ["plane", z13_file, "--s", "1", "--radius", "-3"]
+    assert _exit_without_traceback(argv, capsys) == 2
+
+
+def test_report_radius_below_one_exit_2(z13_file, capsys):
+    argv = ["report", z13_file, "--radius", "-1", "--json"]
+    assert _exit_without_traceback(argv, capsys) == 2
+
+
+def test_plane_falls_back_when_aut_passes_bound(z13_file, capsys):
+    # |Aut| = 52 > 10: no sigma_alpha, so the plane takes the first valid base
+    assert run(["plane", z13_file, "--s", "1", "--bound", "10", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["base"][0] == 0
+    assert payload["rotation_invariant"] is True

@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import scheme_forge as sf
 from scheme_forge import groups
+from scheme_forge.cli import run
 
 import oracles
 
@@ -110,8 +113,8 @@ def test_automorphisms_against_factorial_filter(z5):
     assert len(brute) == 120
 
 
-def test_automorphisms_against_anchor_oracle(z13, z17, auts):
-    for name, scheme in (("z13", z13), ("z17", z17)):
+def test_automorphisms_against_anchor_oracle(z13, z17, z29, v25, auts):
+    for name, scheme in (("z13", z13), ("z17", z17), ("z29", z29), ("v25", v25)):
         anchored = oracles.aut_by_anchors(scheme)
         fast = sorted(groups.enumerate_elements(auts[name]))
         assert fast == anchored
@@ -120,6 +123,66 @@ def test_automorphisms_against_anchor_oracle(z13, z17, auts):
 def test_every_listed_automorphism_is_one(z29, auts):
     for img in groups.enumerate_elements(auts["z29"]):
         assert oracles.is_automorphism(z29.color, img)
+
+
+def test_every_automorphism_of_c53_is_one():
+    c53 = sf.orbital_scheme(sf.cyclotomic_frobenius(53))
+    elements = groups.enumerate_elements(sf.automorphism_group(c53))
+    assert len(elements) == 212
+    assert all(oracles.is_automorphism(c53.color, img) for img in elements)
+
+
+def test_automorphism_bound_is_exact(z13):
+    with pytest.raises(sf.BoundExceeded):
+        sf.automorphism_group(z13, bound=51)
+    assert sf.group_order(sf.automorphism_group(z13, bound=52)) == 52
+
+
+def test_automorphism_bound_with_a_long_base(z5):
+    # Aut is Sym(5): a resolving base needs 4 points and all 120 maps pass
+    with pytest.raises(sf.BoundExceeded):
+        sf.automorphism_group(z5, bound=100)
+
+
+def _cayley_scheme_z4z4(connection):
+    pts = [(i, j) for i in range(4) for j in range(4)]
+    adjacent = np.array(
+        [[((a[0] - b[0]) % 4, (a[1] - b[1]) % 4) in connection for b in pts] for a in pts]
+    )
+    color = np.where(adjacent, 1, 2)
+    np.fill_diagonal(color, 0)
+    return sf.from_matrix(color)
+
+
+def test_automorphisms_of_cospectral_rank_three_schemes():
+    # SRG(16,6,2,2) twice: the Shrikhande graph (|Aut| = 192) and the 4x4
+    # rook's graph (|Aut| = 2 * 24**2 = 1152).  On the Shrikhande graph some
+    # forced maps are not automorphisms, so only the full check keeps the
+    # count at the true order.
+    shrikhande = _cayley_scheme_z4z4({(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)})
+    rook = _cayley_scheme_z4z4({(1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3)})
+    for scheme, order in ((shrikhande, 192), (rook, 1152)):
+        elements = groups.enumerate_elements(sf.automorphism_group(scheme, bound=order))
+        assert len(elements) == order
+        assert all(oracles.is_automorphism(scheme.color, img) for img in elements)
+
+
+def test_relabelled_v25_has_the_conjugate_group(v25, auts):
+    rng = np.random.default_rng(25)
+    points = rng.permutation(v25.n)
+    colors = np.concatenate(([0], 1 + rng.permutation(v25.r - 1)))
+    color = np.empty_like(v25.color)
+    color[np.ix_(points, points)] = colors[v25.color]
+    relabelled = sf.from_matrix(color)
+    found = set(groups.enumerate_elements(sf.automorphism_group(relabelled)))
+    conjugated = set()
+    for g in groups.enumerate_elements(auts["v25"]):
+        h = [0] * v25.n
+        for x in range(v25.n):
+            h[points[x]] = int(points[g[x]])
+        conjugated.add(tuple(h))
+    assert len(found) == 100
+    assert found == conjugated
 
 
 def test_two_point_rigidity(z13, z17, z29, v25, auts):
@@ -201,6 +264,27 @@ def test_witness_on_symmetric_group_scheme(z5, auts):
     # Aut is all of Sym(5); the witness must be a proper Frobenius subgroup
     cert = sf.frobenius_witness(z5, group=auts["z5"])
     assert cert.kernel_size * cert.stabilizer_order == 20
+
+
+# sha256 of `frobenius --json` on each battery scheme, recorded from the
+# depth-first backtracking search that the base-driven search replaced: the
+# witness and its generators must not move.
+FROBENIUS_JSON_SHA256 = {
+    "z5": "5796f6760c1d796a882a02cd50dc263921f4e1cd77a83a4d2ed3ca229b2fb89a",
+    "z13": "11dfe4affdf988a3a0ab2e775683715cacf6d2fd8c972394d2bd7fd0f9725f4f",
+    "z17": "b4673e9af3b0b10cdb7579f03f7d8d0e854d1d66a85a1bd983abfd3d4a6ea314",
+    "z29": "9600088eb57703493291061e8459845e98e6284ac9ddd90381192af4d7044972",
+    "v25": "69dce497d6aa0084e5e9ae7da7357676e8b20d93683ac136ff3818c206aa36fd",
+}
+
+
+def test_frobenius_json_is_unchanged(battery, tmp_path, capsys):
+    for name, scheme in battery.items():
+        path = tmp_path / (name + ".asc")
+        sf.save_asc(scheme, str(path))
+        assert run(["frobenius", str(path), "--json"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == FROBENIUS_JSON_SHA256[name], name
 
 
 # --- .perm format ---
