@@ -1,17 +1,14 @@
 """Command line front end: generate, inspect and certify schemes.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 invalid
-input file.  Set SCHEME_FORGE_THREADS to cap how many report checks run
-concurrently; output bytes do not depend on the thread count.
+input file.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import designs, fission, groups, planes, products, scheme_core
@@ -65,15 +62,6 @@ class Report:
         }
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("SCHEME_FORGE_THREADS", "")
-    try:
-        value = int(raw)
-    except ValueError:
-        value = os.cpu_count() or 1
-    return max(1, value)
-
-
 def _emit_json(payload) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
@@ -97,6 +85,7 @@ def _build_context(scheme: Scheme, source: str, bound: int, cutoff: int, radius:
     ctx["aut"] = None
     ctx["aut_error"] = None
     ctx["sigma"] = {}
+    ctx["planes"] = {}
     ctx["fissions"] = {}
     if ctx["k"] == 4:
         try:
@@ -119,16 +108,40 @@ def _build_context(scheme: Scheme, source: str, bound: int, cutoff: int, radius:
         if ctx["aut"] is not None and ctx["pp"] is not None and ctx["pp"].s3:
             for alpha in ctx["points"]:
                 ctx["sigma"][alpha] = groups.sigma_alpha(scheme, alpha, group=ctx["aut"])
+        if ctx["pp"] is not None and ctx["pp"].s3:
+            ctx["planes"] = _origin_planes(ctx)
         if scheme.r >= 3:
             for alpha in ctx["points"]:
                 ctx["fissions"][alpha] = fission.point_fission(scheme, (alpha,))
     else:
         ctx["points"] = ()
-    # Fissions run here, on the calling thread: glibc gives each pool thread
-    # its own malloc arena, which keeps a fission's freed working set, so
-    # fissions on pool threads add up in the process's peak memory.
-    ctx["base_number"] = _base_number(ctx)
     return ctx
+
+
+def _origin_planes(ctx) -> dict:
+    """The plane of each s3 color at point 0, or the detail of its failure.
+
+    The base comes from sigma_0 when there is one (so the rotation and the
+    alignment checks read the same planes), else from the first valid base.
+    """
+    scheme = ctx["scheme"]
+    pp = ctx["pp"]
+    sigma = ctx["sigma"].get(0)
+    out: dict = {}
+    for s in sorted(pp.s3):
+        if sigma is not None:
+            base = planes.sigma_base(scheme, sigma, s, 0)
+        else:
+            bases = planes.valid_bases(scheme, pp, s, 0)
+            if not bases:
+                out[s] = "color %d has no valid base at point 0" % s
+                continue
+            base = bases[0]
+        try:
+            out[s] = planes.build_plane(scheme, pp, s, *base, radius=ctx["radius"])
+        except SchemeForgeError as err:
+            out[s] = "color %d: %s" % (s, err)
+    return out
 
 
 def _from_structure(ctx, key):
@@ -226,36 +239,17 @@ def _check_sigma_alpha(ctx):
     return "pass", "rotation automorphism at %d points" % ctx["scheme"].n
 
 
-def _plane_base(ctx, s, alpha):
-    scheme = ctx["scheme"]
-    sigma = ctx["sigma"].get(alpha)
-    if sigma is not None:
-        return planes.sigma_base(scheme, sigma, s, alpha)
-    bases = planes.valid_bases(scheme, ctx["pp"], s, alpha)
-    if not bases:
-        return None
-    return bases[0]
-
-
 def _check_plane_rotation(ctx):
     pp = ctx["pp"]
     if pp is None or not pp.s3:
         return NA, "no color with a 2u+v square"
-    scheme = ctx["scheme"]
-    built = 0
-    for s in sorted(pp.s3):
-        base = _plane_base(ctx, s, 0)
-        if base is None:
-            return "fail", "color %d has no valid base at point 0" % s
-        try:
-            plane = planes.build_plane(scheme, pp, s, *base, radius=ctx["radius"])
-        except SchemeForgeError as err:
-            return "fail", "color %d: %s" % (s, err)
-        if not planes.check_rotation_invariance(scheme, plane):
+    for s, plane in ctx["planes"].items():
+        if isinstance(plane, str):
+            return "fail", plane
+        if not planes.check_rotation_invariance(ctx["scheme"], plane):
             return "fail", "color %d breaks rotation invariance" % s
-        built += 1
     return "pass", "%d planes at radius %d, both axes use the two-step rule" % (
-        built,
+        len(ctx["planes"]),
         ctx["radius"],
     )
 
@@ -267,13 +261,9 @@ def _check_plane_alignment(ctx):
     sigma = ctx["sigma"].get(0)
     if sigma is None:
         return NA, "no rotation automorphism at point 0"
-    scheme = ctx["scheme"]
-    for s in sorted(pp.s3):
-        base = planes.sigma_base(scheme, sigma, s, 0)
-        try:
-            plane = planes.build_plane(scheme, pp, s, *base, radius=ctx["radius"])
-        except SchemeForgeError as err:
-            return "fail", "color %d: %s" % (s, err)
+    for s, plane in ctx["planes"].items():
+        if isinstance(plane, str):
+            return "fail", plane
         for cell, point in plane.grid.items():
             rotated = planes.rotate(cell)
             if rotated in plane.grid and plane.grid[rotated] != sigma[point]:
@@ -325,7 +315,7 @@ def _check_fiber_rows(ctx):
     return "pass", "fibers sit inside single rows at %d split points" % scheme.n
 
 
-def _base_number(ctx):
+def _check_base_number(ctx):
     if ctx["k"] != 4:
         return NA, "needs common valency 4"
     scheme = ctx["scheme"]
@@ -357,10 +347,6 @@ def _base_number(ctx):
         size,
         witness,
     )
-
-
-def _check_base_number(ctx):
-    return ctx["base_number"]
 
 
 def _check_design(ctx):
@@ -423,23 +409,13 @@ CHECKS = (
 def build_report(scheme: Scheme, source: str, bound: int = groups.DEFAULT_BOUND,
                  cutoff: int = fission.DEFAULT_CUTOFF,
                  radius: int = planes.DEFAULT_RADIUS) -> Report:
-    """Run every registered check; results are ordered by the registry."""
+    """Run every registered check in registry order."""
     ctx = _build_context(scheme, source, bound, cutoff, radius)
-    results: list[CheckResult | None] = [None] * len(CHECKS)
-
-    def run_one(index: int) -> None:
-        name, operation, statement, func = CHECKS[index]
-        status, detail = func(ctx)
-        results[index] = CheckResult(name, operation, statement, status, detail)
-
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_one, range(len(CHECKS))))
-    else:
-        for index in range(len(CHECKS)):
-            run_one(index)
-    return Report(source, scheme.n, scheme.r, ctx["k"], tuple(results))
+    results = tuple(
+        CheckResult(name, operation, statement, *func(ctx))
+        for name, operation, statement, func in CHECKS
+    )
+    return Report(source, scheme.n, scheme.r, ctx["k"], results)
 
 
 def _print_report(report: Report) -> None:
@@ -452,10 +428,6 @@ def _print_report(report: Report) -> None:
 
 
 # --- subcommands ---
-
-
-def _load_scheme(path: str) -> Scheme:
-    return scheme_core.load_asc(path)
 
 
 def _parse_points(text: str, n: int) -> tuple[int, ...]:
@@ -486,7 +458,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_check(args) -> int:
     try:
-        scheme = _load_scheme(args.file)
+        scheme = scheme_core.load_asc(args.file)
     except FormatError:
         raise
     except SchemeForgeError as err:
@@ -497,7 +469,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_props(args) -> int:
-    scheme = _load_scheme(args.file)
+    scheme = scheme_core.load_asc(args.file)
     k = scheme_core.is_k_equivalenced(scheme)
     payload = {
         "n": scheme.n,
@@ -530,7 +502,7 @@ def _cmd_props(args) -> int:
 
 
 def _cmd_lemmas(args) -> int:
-    scheme = _load_scheme(args.file)
+    scheme = scheme_core.load_asc(args.file)
     report = products.verify_structure_lemmas(scheme)
     if args.json:
         _emit_json(
@@ -550,7 +522,7 @@ def _cmd_lemmas(args) -> int:
 
 
 def _cmd_plane(args) -> int:
-    scheme = _load_scheme(args.file)
+    scheme = scheme_core.load_asc(args.file)
     pp = products.phi_psi(scheme)
     (alpha,) = _parse_points(str(args.alpha), scheme.n)
     if not 0 < args.s < scheme.r:
@@ -603,7 +575,7 @@ def _cmd_plane(args) -> int:
 
 
 def _cmd_fission(args) -> int:
-    scheme = _load_scheme(args.file)
+    scheme = scheme_core.load_asc(args.file)
     points = _parse_points(args.points, scheme.n)
     report = fission.describe_fission(scheme, points)
     if args.json:
@@ -631,7 +603,7 @@ def _cmd_fission(args) -> int:
 
 
 def _cmd_base(args) -> int:
-    scheme = _load_scheme(args.file)
+    scheme = scheme_core.load_asc(args.file)
     try:
         size, witness = fission.find_base(scheme, args.cutoff)
     except fission.CutoffExceeded as err:
@@ -648,7 +620,7 @@ def _cmd_base(args) -> int:
 
 
 def _cmd_aut(args) -> int:
-    scheme = _load_scheme(args.file)
+    scheme = scheme_core.load_asc(args.file)
     group = groups.automorphism_group(scheme, args.bound)
     order = groups.group_order(group)
     if args.out:
@@ -676,7 +648,7 @@ def _cmd_frobenius(args) -> int:
         else:
             print("frobenius: %s" % verdict)
         return 0 if verdict else 1
-    scheme = _load_scheme(args.file)
+    scheme = scheme_core.load_asc(args.file)
     cert = groups.frobenius_witness(scheme, bound=args.bound)
     if cert is None:
         if args.json:
@@ -702,7 +674,7 @@ def _cmd_frobenius(args) -> int:
 
 
 def _cmd_design(args) -> int:
-    scheme = _load_scheme(args.file)
+    scheme = scheme_core.load_asc(args.file)
     design = designs.scheme_to_design(scheme)
     ok = designs.verify_design(design, t=2, k=4, lam=3)
     if args.json:
@@ -716,24 +688,14 @@ def _cmd_report(args) -> int:
     if args.radius < 1:
         raise UsageError("--radius must be at least 1")
     try:
-        scheme = _load_scheme(args.file)
+        scheme = scheme_core.load_asc(args.file)
     except FormatError:
         raise
     except SchemeForgeError as err:
+        name, operation, statement, _ = CHECKS[0]
+        detail = "%s: %s" % (type(err).__name__, err)
         failure = Report(
-            args.file,
-            0,
-            0,
-            None,
-            (
-                CheckResult(
-                    "scheme-axioms",
-                    "validate",
-                    "diagonal color, dual pairing and constant intersection numbers",
-                    "fail",
-                    "%s: %s" % (type(err).__name__, err),
-                ),
-            ),
+            args.file, 0, 0, None, (CheckResult(name, operation, statement, "fail", detail),)
         )
         if args.json:
             _emit_json(failure.to_dict())

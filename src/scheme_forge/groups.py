@@ -179,6 +179,13 @@ def orbital_scheme(group: PermGroup) -> Scheme:
     """
     if not is_transitive(group):
         raise NotTransitive("group is not transitive on its points")
+    color = _orbital_colors(group)
+    r = int(color.max()) + 1
+    return validate(group.degree, r, color, _scan_dual(color, r))
+
+
+def _orbital_colors(group: PermGroup) -> np.ndarray:
+    """n x n matrix of orbit numbers on ordered pairs, by row-major minimal pair."""
     n = group.degree
     color = np.full((n, n), -1, dtype=np.int64)
     next_color = 0
@@ -196,8 +203,7 @@ def orbital_scheme(group: PermGroup) -> Scheme:
                         color[pair] = next_color
                         stack.append(pair)
             next_color += 1
-    dual = _scan_dual(color, next_color)
-    return validate(n, next_color, color, dual)
+    return color
 
 
 def _is_prime(m: int) -> bool:
@@ -385,8 +391,8 @@ def _certificate_from(scheme: Scheme, elems) -> FrobeniusCertificate | None:
     witness = PermGroup(n, tuple(_greedy_generators(elems, n)), _elements=elems)
     if not frobenius_check(witness):
         return None
-    orbital = orbital_scheme(witness)
-    if not _partition_matches(scheme, orbital.color):
+    # a transitive group's orbitals always form a scheme, so no validate here
+    if not _partition_matches(scheme, _orbital_colors(witness)):
         return None
     ident = identity_perm(n)
     kernel = 1 + sum(1 for g in elems if g != ident and not fixed_points(g))

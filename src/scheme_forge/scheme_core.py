@@ -58,14 +58,6 @@ class IntersectionTensor:
     def __call__(self, s: int, t: int, u: int) -> int:
         return int(self.c[s, t, u])
 
-    def support(self, s: int, t: int) -> tuple[int, ...]:
-        """Colors u with c(s,t,u) != 0, ascending."""
-        return tuple(int(u) for u in np.nonzero(self.c[s, t])[0])
-
-    def decomposition(self, s: int, t: int) -> dict[int, int]:
-        """Map u -> c(s,t,u) over the support of the product."""
-        return {int(u): int(self.c[s, t, u]) for u in np.nonzero(self.c[s, t])[0]}
-
 
 @dataclass(frozen=True, eq=False)
 class Scheme:
@@ -223,10 +215,6 @@ def _scan_dual(mat: np.ndarray, r: int) -> np.ndarray:
             )
         dual[s] = vals[0]
     return dual
-
-
-def intersection_tensor(scheme: Scheme) -> IntersectionTensor:
-    return scheme.tensor
 
 
 def valency(scheme: Scheme, s: int) -> int:

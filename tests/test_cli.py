@@ -1,9 +1,10 @@
 import json
+import threading
 
 import pytest
 
 import scheme_forge as sf
-from scheme_forge import fission
+from scheme_forge import fission, planes
 from scheme_forge.cli import run
 
 
@@ -177,11 +178,9 @@ def test_report_fails_on_corruption(tmp_path, z13_file, capsys):
     assert "[FAIL]" in out
 
 
-def test_report_json_deterministic_across_threads(z13_file, capsys, monkeypatch):
-    monkeypatch.setenv("SCHEME_FORGE_THREADS", "1")
+def test_report_json_deterministic(z13_file, capsys):
     assert run(["report", z13_file, "--json"]) == 0
     first = capsys.readouterr().out
-    monkeypatch.setenv("SCHEME_FORGE_THREADS", "8")
     assert run(["report", z13_file, "--json"]) == 0
     second = capsys.readouterr().out
     assert first == second
@@ -189,6 +188,46 @@ def test_report_json_deterministic_across_threads(z13_file, capsys, monkeypatch)
     assert payload["summary"]["fail"] == 0
     names = [c["name"] for c in payload["checks"]]
     assert names == sorted(set(names), key=names.index)  # registry order, no dupes
+
+
+def test_report_starts_no_thread(z13_file, capsys, monkeypatch):
+    assert run(["report", z13_file, "--json"]) == 0
+    expected = capsys.readouterr().out
+
+    def refuse(self):
+        raise AssertionError("report started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert run(["report", z13_file, "--json"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_report_builds_each_origin_plane_once(z13_file, capsys, monkeypatch):
+    built = []
+    original = planes.build_plane
+
+    def counting(scheme, pp, s, *base, **kwargs):
+        built.append(s)
+        return original(scheme, pp, s, *base, **kwargs)
+
+    monkeypatch.setattr(planes, "build_plane", counting)
+    assert run(["report", z13_file, "--json"]) == 0
+    assert built == [1, 2, 3]  # s3 of z13, one plane each
+
+
+def test_report_plane_failure_detail(z13_file, capsys, monkeypatch):
+    original = planes.build_plane
+
+    def failing(scheme, pp, s, *base, **kwargs):
+        if s == 2:
+            raise planes.InvalidBase("no room")
+        return original(scheme, pp, s, *base, **kwargs)
+
+    monkeypatch.setattr(planes, "build_plane", failing)
+    assert run(["report", z13_file, "--json"]) == 1
+    by_name = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    for name in ("plane-rotation", "plane-alignment"):
+        assert (by_name[name]["status"], by_name[name]["detail"]) == ("fail", "color 2: no room")
 
 
 def test_report_v25_asserts_base_number(v25_file, capsys):

@@ -266,6 +266,19 @@ def test_witness_on_symmetric_group_scheme(z5, auts):
     assert cert.kernel_size * cert.stabilizer_order == 20
 
 
+def test_witness_orbitals_are_not_revalidated(z13, auts, monkeypatch):
+    # the witness is transitive, so its orbitals form a scheme without validate
+    expected = sf.frobenius_witness(z13, group=auts["z13"])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("validate called")
+
+    monkeypatch.setattr(groups, "validate", refuse)
+    cert = sf.frobenius_witness(z13, group=auts["z13"])
+    assert cert.group.generators == expected.group.generators
+    assert (cert.kernel_size, cert.stabilizer_order, cert.orbital_match) == (13, 4, True)
+
+
 # sha256 of `frobenius --json` on each battery scheme, recorded from the
 # depth-first backtracking search that the base-driven search replaced: the
 # witness and its generators must not move.

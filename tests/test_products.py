@@ -7,6 +7,11 @@ import scheme_forge as sf
 from scheme_forge.products import ProductClass
 
 
+def decomposition(scheme, s, t):
+    """Map u -> c(s,t,u) over the colors u with c(s,t,u) != 0."""
+    return {int(u): int(m) for u, m in enumerate(scheme.tensor.c[s, t]) if m}
+
+
 def test_phi_psi_z13(z13):
     pp = sf.phi_psi(z13)
     assert sorted(pp.s3) == [1, 2, 3]
@@ -29,7 +34,7 @@ def test_phi_psi_all_doubled(v25):
     assert sorted(pp.s2) == [1, 2, 3, 4, 5, 6]
     assert not pp.s3
     for s in pp.s2:
-        assert v25.tensor.decomposition(s, s) == {0: 4, s: 3}
+        assert decomposition(v25, s, s) == {0: 4, s: 3}
 
 
 def test_phi_extends_as_identity_off_split_colors(v25, z5):
@@ -98,7 +103,7 @@ def test_product_class_z17(z17):
                 continue
             cls = sf.product_class(z17, pp, s, t)
             seen.add(cls)
-            decomp = z17.tensor.decomposition(s, t)
+            decomp = decomposition(z17, s, t)
             if cls is ProductClass.FOUR_DISTINCT:
                 assert sorted(decomp.values()) == [1, 1, 1, 1]
             elif cls is ProductClass.TWO_PLUS_DOUBLE:
@@ -120,7 +125,7 @@ def test_product_class_heavy_side(z17):
         else:
             # t = phi(s) doubles the s side of the product
             assert cls is ProductClass.TWO_PLUS_DOUBLE
-            assert z17.tensor.decomposition(s, t)[s] == 2
+            assert decomposition(z17, s, t)[s] == 2
 
 
 def test_verify_structure_battery(battery):

@@ -105,11 +105,9 @@ def test_tensor_matches_matmul_oracle(battery):
         assert np.array_equal(scheme.tensor.c, expected)
 
 
-def test_tensor_call_and_support(z13):
+def test_tensor_call(z13):
     t = z13.tensor
     assert t(1, 1, 0) == 4
-    assert t.support(1, 1) == (0, 2, 3)
-    assert t.decomposition(1, 1) == {0: 4, 2: 1, 3: 2}
 
 
 def test_valencies(battery):
