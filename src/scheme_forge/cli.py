@@ -7,6 +7,7 @@ input file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -711,6 +712,7 @@ def _cmd_report(args) -> int:
     return 1 if failed else 0
 
 
+@functools.cache  # built once: a parser is ~190 objects in reference cycles
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scheme-forge",

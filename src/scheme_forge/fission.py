@@ -180,23 +180,22 @@ def describe_fission(scheme: Scheme, points) -> FissionReport:
     return FissionReport(delta, cc.num_colors, len(cc.fibers), failed, cc.is_complete, cc.fibers)
 
 
-def _orbit_least_sets(n: int, size: int, elements):
-    """Sorted point sets of one size in lexicographic order, least ones per orbit.
+def _orbit_least_sets(n: int, size: int, stabilizer, prefix: tuple[int, ...] = ()):
+    """Sorted point sets of one size that extend prefix, in lexicographic
+    order, least ones per orbit.
 
     A set x1 < ... < xk is produced when each x(j+1) is the least point
     of its orbit under the elements that fix x1..xj.  The least set of
-    every orbit of the group on k-sets has this form.
+    every orbit of the group on k-sets has this form.  stabilizer holds
+    the elements that fix every point of prefix.
     """
-
-    def extend(prefix, stabilizer):
-        if len(prefix) == size:
-            yield prefix
-            return
-        for y in range(prefix[-1] + 1 if prefix else 0, n):
-            if all(g[y] >= y for g in stabilizer):
-                yield from extend(prefix + (y,), [g for g in stabilizer if g[y] == y])
-
-    return extend((), elements)
+    if len(prefix) == size:
+        yield prefix
+        return
+    for y in range(prefix[-1] + 1 if prefix else 0, n):
+        if all(g[y] >= y for g in stabilizer):
+            yield from _orbit_least_sets(n, size, [g for g in stabilizer if g[y] == y],
+                                         prefix + (y,))
 
 
 def find_base(scheme: Scheme, cutoff: int = DEFAULT_CUTOFF, group: PermGroup | None = None,

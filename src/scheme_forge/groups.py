@@ -280,29 +280,27 @@ def automorphism_group(scheme: Scheme, bound: int = DEFAULT_BOUND) -> PermGroup:
     key_order = np.lexsort(color[base, :][::-1])
     sorted_keys = color[base, :][:, key_order]
     elements: list[Perm] = []
-
-    def extend(images: list[int]) -> None:
+    stack: list[list[int]] = [[]]  # partial base images, depth first
+    while stack:
+        images = stack.pop()
         i = len(images)
         if i == len(base):
             found = color[images, :]
             order = np.lexsort(found[::-1])
             if not np.array_equal(found[:, order], sorted_keys):
-                return
+                continue
             img = np.empty(scheme.n, dtype=np.int64)
             img[key_order] = order
             if not np.array_equal(color[np.ix_(img, img)], color):
-                return
+                continue
             if len(elements) >= bound:
                 raise BoundExceeded("more than %d automorphisms" % bound)
             elements.append(tuple(img.tolist()))
-            return
+            continue
         mask = np.ones(scheme.n, dtype=bool)
         for b, c in zip(base, images):
             mask &= color[c, :] == color[b, base[i]]
-        for y in np.nonzero(mask)[0]:
-            extend(images + [int(y)])
-
-    extend([])
+        stack.extend(images + [int(y)] for y in np.nonzero(mask)[0])
     elements.sort()
     gens = _greedy_generators(elements, scheme.n)
     return PermGroup(scheme.n, tuple(gens), _elements=tuple(elements))

@@ -1,3 +1,4 @@
+import gc
 import json
 import threading
 
@@ -200,6 +201,19 @@ def test_report_starts_no_thread(z13_file, capsys, monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", refuse)
     assert run(["report", z13_file, "--json"]) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_run_leaves_no_cyclic_garbage(z13_file, capsys):
+    # objects in reference cycles outlive their op until the collector runs
+    assert run(["report", z13_file]) == 0  # the first run also imports lazily
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in (["report", z13_file], ["aut", z13_file], ["base", z13_file]):
+            assert run(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_report_builds_each_origin_plane_once(z13_file, capsys, monkeypatch):

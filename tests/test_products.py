@@ -7,11 +7,6 @@ import scheme_forge as sf
 from scheme_forge.products import ProductClass
 
 
-def decomposition(scheme, s, t):
-    """Map u -> c(s,t,u) over the colors u with c(s,t,u) != 0."""
-    return {int(u): int(m) for u, m in enumerate(scheme.tensor.c[s, t]) if m}
-
-
 def test_phi_psi_z13(z13):
     pp = sf.phi_psi(z13)
     assert sorted(pp.s3) == [1, 2, 3]
@@ -34,7 +29,9 @@ def test_phi_psi_all_doubled(v25):
     assert sorted(pp.s2) == [1, 2, 3, 4, 5, 6]
     assert not pp.s3
     for s in pp.s2:
-        assert decomposition(v25, s, s) == {0: 4, s: 3}
+        row = v25.tensor.c[s, s]
+        assert np.flatnonzero(row).tolist() == [0, s]
+        assert (row[0], row[s]) == (4, 3)
 
 
 def test_phi_extends_as_identity_off_split_colors(v25, z5):
@@ -103,14 +100,15 @@ def test_product_class_z17(z17):
                 continue
             cls = sf.product_class(z17, pp, s, t)
             seen.add(cls)
-            decomp = decomposition(z17, s, t)
+            row = z17.tensor.c[s, t]
+            values = sorted(row[row > 0].tolist())
             if cls is ProductClass.FOUR_DISTINCT:
-                assert sorted(decomp.values()) == [1, 1, 1, 1]
+                assert values == [1, 1, 1, 1]
             elif cls is ProductClass.TWO_PLUS_DOUBLE:
-                assert sorted(decomp.values()) == [1, 1, 2]
+                assert values == [1, 1, 2]
             else:
-                assert sorted(decomp.values()) == [2, 2]
-                assert set(decomp) == {s, t}
+                assert values == [2, 2]
+                assert np.flatnonzero(row).tolist() == sorted((s, t))
     assert ProductClass.FOUR_DISTINCT in seen
     assert ProductClass.TWO_PLUS_DOUBLE in seen
 
@@ -125,7 +123,7 @@ def test_product_class_heavy_side(z17):
         else:
             # t = phi(s) doubles the s side of the product
             assert cls is ProductClass.TWO_PLUS_DOUBLE
-            assert decomposition(z17, s, t)[s] == 2
+            assert z17.tensor.c[s, t, s] == 2
 
 
 def test_verify_structure_battery(battery):
