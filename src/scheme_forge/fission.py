@@ -16,7 +16,7 @@ import numpy as np
 from .scheme_core import (
     Scheme,
     SchemeForgeError,
-    _constancy_tensor,
+    _check_constancy,
     _scan_dual,
     canonical_relabel,
 )
@@ -124,7 +124,7 @@ def validate_configuration(cc: CoherentConfiguration) -> None:
     if (counts == 0).any():
         raise ValueError("a color index never occurs")
     _scan_dual(cc.color, cc.num_colors)
-    _constancy_tensor(cc.color, cc.num_colors)
+    _check_constancy(cc.color, cc.num_colors)
     diag_colors = set(int(d) for d in cc.color.diagonal())
     for s in range(cc.num_colors):
         xs, ys = np.nonzero(cc.color == s)

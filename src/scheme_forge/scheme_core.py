@@ -106,35 +106,58 @@ def canonical_relabel(matrix: np.ndarray) -> np.ndarray:
     return labels.reshape(m.shape)
 
 
-def _constancy_tensor(color: np.ndarray, r: int) -> np.ndarray:
-    """Compute c(s,t,u) for all triples, raising on any non-constant count.
+# Byte cap on the (rows, n, n) path-code block that _check_constancy sorts
+# at a time; the comparison holds about two more arrays of that size.
+_BLOCK_BYTES = 1 << 23
 
-    For each (s,t) the product of 0/1 color matrices counts, at entry
-    (x,y), the paths x -> z -> y through colors s then t.  The count at
-    the first pair of each color u is the candidate c(s,t,u); every
-    other pair of color u must agree.
+
+def _check_constancy(color: np.ndarray, r: int) -> np.ndarray:
+    """Check that every c(s,t,u) is constant; return one sorted path column per color.
+
+    The path codes of a pair (x,y) are color(x,z) * r + color(z,y) over
+    all z, so code s*r + t occurs c(s,t;color(x,y)) times among them.
+    Column u holds the sorted codes of the first pair of color u in
+    row-major order (every color 0..r-1 must occur), and the sorted codes
+    of every other pair of color u must equal it.  Rows x are processed in
+    blocks of at most _BLOCK_BYTES of codes.  On failure the error names
+    the least code s*r + t, then the least pair in row-major order, whose
+    count differs from that of its color's first pair.
     """
     n = color.shape[0]
-    flat = color.ravel()
-    uniq, first = np.unique(flat, return_index=True)
-    first_flat = np.empty(r, dtype=np.int64)
-    first_flat[uniq] = first
-    # float64 matmul is exact here: entries are bounded by n << 2**53
-    indicators = np.stack([(color == s).astype(np.float64) for s in range(r)])
-    c = np.zeros((r, r, r), dtype=np.int64)
-    for s in range(r):
-        for t in range(r):
-            paths = indicators[s] @ indicators[t]
-            witness = paths.ravel()[first_flat]
-            expected = witness[color]
-            if not np.array_equal(paths, expected):
-                x, y = map(int, np.argwhere(paths != expected)[0])
-                u = int(color[x, y])
-                raise NonConstantIntersection(
-                    s, t, u, (x, y), int(witness[u]), int(paths[x, y])
-                )
-            c[s, t] = np.rint(witness).astype(np.int64)
-    return c
+    # at least 16 bits: numpy sorts 8-bit keys without its vectorised sort
+    dtype = np.promote_types(np.min_scalar_type(r * r - 1), np.uint16)
+    scaled = (color * r).astype(dtype)
+    transposed = color.T.astype(dtype, order="C")
+    _, first = np.unique(color, return_index=True)
+    xs, ys = np.divmod(first, n)
+    columns = scaled[xs] + transposed[ys]
+    columns.sort(axis=1)
+    rows = max(1, _BLOCK_BYTES // (n * n * dtype.itemsize))
+    witness = None
+    for lo in range(0, n, rows):
+        codes = scaled[lo:lo + rows, None, :] + transposed[None, :, :]
+        codes.sort(axis=2)
+        expected = columns[color[lo:lo + rows]]
+        differ = codes != expected
+        bx, by = np.nonzero(differ.any(axis=2))
+        if len(bx) == 0:
+            continue
+        # the first differing place of two sorted columns holds the least
+        # code whose counts differ
+        at = differ[bx, by].argmax(axis=1)
+        least = np.minimum(codes[bx, by, at], expected[bx, by, at])
+        j = int(least.argmin())
+        found = (int(least[j]), lo + int(bx[j]), int(by[j]))
+        witness = found if witness is None else min(witness, found)
+    if witness is not None:
+        code, x, y = witness
+        u = int(color[x, y])
+        s, t = divmod(code, r)
+        got = int(np.count_nonzero(color[x] * r + color[:, y] == code))
+        raise NonConstantIntersection(
+            s, t, u, (x, y), int(np.count_nonzero(columns[u] == code)), got
+        )
+    return columns
 
 
 def validate(n: int, r: int, color, dual) -> Scheme:
@@ -183,7 +206,10 @@ def validate(n: int, r: int, color, dual) -> Scheme:
         s = int(np.nonzero(counts == 0)[0][0])
         raise ValueError("color %d never occurs" % s)
 
-    c = _constancy_tensor(mat, r)
+    columns = _check_constancy(mat, r)
+    c = np.empty((r, r, r), dtype=np.int64)
+    for u in range(r):
+        c[:, :, u] = np.bincount(columns[u], minlength=r * r).reshape(r, r)
     valencies = c[np.arange(r), dual_arr, 0].copy()
     for arr in (mat, dual_arr, c, valencies):
         arr.setflags(write=False)

@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 import scheme_forge as sf
+
+# Property tests replay the same examples on every run and stay quick.
+settings.register_profile("scheme-forge", derandomize=True, deadline=None, max_examples=30)
+settings.load_profile("scheme-forge")
 
 # criterion label -> "PASS"/"FAIL", filled in by test_acceptance.py
 ACCEPTANCE_RESULTS: dict[str, str] = {}
@@ -29,6 +34,11 @@ def z29():
 @pytest.fixture(scope="session")
 def v25():
     return sf.orbital_scheme(sf.vector_frobenius(5, 2))
+
+
+@pytest.fixture(scope="session")
+def c53():
+    return sf.orbital_scheme(sf.cyclotomic_frobenius(53))
 
 
 @pytest.fixture(scope="session")

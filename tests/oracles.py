@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from scheme_forge import NonConstantIntersection
+
 
 def adjacency_matrices(scheme):
     return [(scheme.color == s).astype(np.int64) for s in range(scheme.r)]
@@ -28,6 +30,38 @@ def tensor_by_matmul(scheme):
             prod = mats[s] @ mats[t]
             for u, (x, y) in enumerate(reps):
                 c[s, t, u] = prod[x, y]
+    return c
+
+
+def constancy_by_matmul(color, r):
+    """c(s,t,u) from r^2 products of 0/1 color matrices, raising on any
+    non-constant count.
+
+    The count of paths x -> z -> y through colors s then t at the first
+    pair of each color u is the candidate c(s,t,u); the first (s,t) in
+    lexicographic order, then the first pair in row-major order, where
+    another pair of color u disagrees is the witness.
+    """
+    n = color.shape[0]
+    flat = color.ravel()
+    uniq, first = np.unique(flat, return_index=True)
+    first_flat = np.empty(r, dtype=np.int64)
+    first_flat[uniq] = first
+    # float64 matmul is exact here: entries are bounded by n << 2**53
+    indicators = np.stack([(color == s).astype(np.float64) for s in range(r)])
+    c = np.zeros((r, r, r), dtype=np.int64)
+    for s in range(r):
+        for t in range(r):
+            paths = indicators[s] @ indicators[t]
+            witness = paths.ravel()[first_flat]
+            expected = witness[color]
+            if not np.array_equal(paths, expected):
+                x, y = map(int, np.argwhere(paths != expected)[0])
+                u = int(color[x, y])
+                raise NonConstantIntersection(
+                    s, t, u, (x, y), int(witness[u]), int(paths[x, y])
+                )
+            c[s, t] = np.rint(witness).astype(np.int64)
     return c
 
 

@@ -1,0 +1,137 @@
+"""The sort-based constancy check against the r^2-matmul oracle.
+
+Equal tensors on valid schemes; on corrupted ones the same
+NonConstantIntersection fields and message, including a corruption that
+only the last row block can see.  validate_configuration runs the same
+check without building a tensor.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+import scheme_forge as sf
+from scheme_forge import fission, scheme_core
+
+import oracles
+
+
+@pytest.fixture(scope="session")
+def c101():
+    return sf.orbital_scheme(sf.cyclotomic_frobenius(101))
+
+
+@pytest.fixture(scope="session")
+def v125():
+    return sf.orbital_scheme(sf.vector_frobenius(5, 3))
+
+
+@pytest.fixture(scope="session")
+def c197():
+    return sf.orbital_scheme(sf.cyclotomic_frobenius(197))
+
+
+@pytest.fixture(scope="session")
+def corruptible(battery, c53):
+    return {name: battery[name] for name in ("z13", "z17", "z29", "v25")} | {"c53": c53}
+
+
+def _outcome(call):
+    try:
+        return call()
+    except sf.NonConstantIntersection as exc:
+        return exc
+
+
+def _assert_same_outcome(color, r):
+    expected = _outcome(lambda: oracles.constancy_by_matmul(color, r))
+    dual = np.array([int(color.T[color == s][0]) for s in range(r)])
+    got = _outcome(lambda: sf.validate(len(color), r, color, dual).tensor.c)
+    if isinstance(expected, sf.NonConstantIntersection):
+        assert isinstance(got, sf.NonConstantIntersection)
+        fields = ("s", "t", "u", "pair", "expected", "got")
+        assert [getattr(got, f) for f in fields] == [getattr(expected, f) for f in fields]
+        assert str(got) == str(expected)
+    else:
+        assert np.array_equal(got, expected)
+    return got
+
+
+def _swap(color, first, second):
+    """Exchange the colors of two pairs and of their transposes."""
+    (x, y), (a, b) = first, second
+    fwd, back = color[x, y], color[y, x]
+    color[x, y], color[y, x] = color[a, b], color[b, a]
+    color[a, b], color[b, a] = fwd, back
+
+
+def test_tensor_matches_matmul_oracles(battery, c53, c101, v125):
+    # test_scheme_core compares the battery with tensor_by_matmul
+    for scheme in (c53, c101, v125):
+        assert np.array_equal(scheme.tensor.c, oracles.tensor_by_matmul(scheme))
+    for scheme in (*battery.values(), c53):
+        assert np.array_equal(scheme.tensor.c, oracles.constancy_by_matmul(scheme.color, scheme.r))
+
+
+@given(data=st.data())
+def test_corruption_matches_oracle(corruptible, data):
+    name = data.draw(st.sampled_from(sorted(corruptible)))
+    scheme = corruptible[name]
+    off_diagonal = st.tuples(st.integers(0, scheme.n - 1), st.integers(1, scheme.n - 1)).map(
+        lambda p: (p[0], (p[0] + p[1]) % scheme.n))
+    bad = scheme.color.copy()
+    for _ in range(data.draw(st.integers(1, 3))):
+        if data.draw(st.booleans()):
+            _swap(bad, data.draw(off_diagonal), data.draw(off_diagonal))
+        else:
+            x, y = data.draw(off_diagonal)
+            s = data.draw(st.integers(1, scheme.r - 1))
+            bad[x, y], bad[y, x] = s, scheme.dual[s]
+    assume(len(np.unique(bad)) == scheme.r)
+    _assert_same_outcome(bad, scheme.r)
+
+
+def test_corruption_seen_only_by_last_block(c197):
+    # the last point swaps the colors of two points of the last block
+    n = c197.n
+    assert np.min_scalar_type(c197.r**2 - 1).itemsize == 2
+    rows = scheme_core._BLOCK_BYTES // (n * n * 2)
+    assert rows < n
+    bad = c197.color.copy()
+    _swap(bad, (n - 1, rows), (n - 1, rows + 1))
+    assert bad[n - 1, rows] != c197.color[n - 1, rows]
+    exc = _assert_same_outcome(bad, c197.r)
+    assert isinstance(exc, sf.NonConstantIntersection)
+    assert exc.pair[0] >= rows
+
+
+def test_validate_c53_one_point_fission(c53):
+    cc = sf.point_fission(c53, (0,))
+    assert cc.num_colors == 703
+    tracemalloc.start()
+    try:
+        sf.validate_configuration(cc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # an (r, r, r) tensor of 703 colors would take 2.8 GB
+    assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("name", ["z13", "c53"])
+def test_corrupted_configuration_raises(battery, c53, name):
+    scheme = c53 if name == "c53" else battery[name]
+    cc = sf.point_fission(scheme, (0,))
+    bad = cc.color.copy()
+    _swap(bad, (1, 2), (1, 3))
+    assert bad[1, 2] != cc.color[1, 2]
+    broken = fission.CoherentConfiguration(cc.n, bad, cc.num_colors, cc.fibers)
+    with pytest.raises(sf.NonConstantIntersection) as caught:
+        sf.validate_configuration(broken)
+    if name == "z13":
+        with pytest.raises(sf.NonConstantIntersection) as expected:
+            oracles.constancy_by_matmul(bad, cc.num_colors)
+        assert str(caught.value) == str(expected.value)
