@@ -1,14 +1,40 @@
 """Point fissions: individualize points, stabilize, and measure the fallout.
 
-wl_stabilize runs the pair refinement to a fixed point: each pair is
-recolored by its old color together with the multiset of color pairs it
-sees through every third point, until the color count stops growing.
-Colors are renumbered by first occurrence in row-major order after
-every round, so results are deterministic.
+wl_stabilize computes the 2-dimensional Weisfeiler-Leman stabilization W
+of a pair coloring c: its coarsest refinement in which the number
+N_ab(x,y) of points z with c(x,z) = a and c(z,y) = b depends only on a, b
+and the color of (x,y).
+
+A round evaluates these counts at random points instead of listing them.
+For R1, R2 drawn from [0, p)^num,
+
+    H(x,y) = sum_z R1[c(x,z)] * R2[c(z,y)] = sum_ab R1[a] * R2[b] * N_ab(x,y),
+
+which is one n x n float64 matrix product, taken modulo the prime p.  p is
+the largest prime with n * (p - 1)**2 < 2**53, so every partial sum is an
+exact integer whatever order BLAS sums in.  Two pairs with different
+counts get the same H with probability at most 2/p (Schwartz-Zippel: the
+difference is a nonzero polynomial of degree 2 over F_p while n < p, which
+holds below 2 * 10**5 points).  Each round draws H twice and recolors each
+pair by (old color, H1, H2).
+
+The output is exact, not probable.  The key holds the old color, so each
+round refines the last; pairs of one class of W have equal counts and so
+equal keys, so each round stays at least as coarse as W.  When the color
+count stops growing, an exact check compares the sorted path codes of every
+pair with those of its color's first pair, as scheme validation does (a
+coloring whose classes are single pairs passes it as it stands).  If all
+agree the coloring is stable, and a stable refinement of c that is at
+least as coarse as W is W.  Otherwise an evaluation collided, and each
+class splits by whether a pair's codes equal its first pair's: the pairs of
+one class of W have equal codes, so the split keeps the coloring coarser
+than W and gains a color whatever the draw.  Colors are numbered by first
+occurrence in row-major order, so the matrix does not depend on the seed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +43,8 @@ from .scheme_core import (
     Scheme,
     SchemeForgeError,
     _check_constancy,
+    _first_occurrence_rank,
+    _path_code_blocks,
     _scan_dual,
     canonical_relabel,
 )
@@ -24,6 +52,10 @@ from .groups import PermGroup, enumerate_elements, identity_perm
 from .products import phi_psi
 
 DEFAULT_CUTOFF = 3
+
+# Seed of the random evaluation points in wl_stabilize; the result does not
+# depend on it.
+_SEED = 1968
 
 
 class NotAFiber(SchemeForgeError):
@@ -62,14 +94,6 @@ class FissionReport:
     fibers: tuple[tuple[int, ...], ...]
 
 
-def _relabel_rows_first_occurrence(rows: np.ndarray) -> tuple[np.ndarray, int]:
-    uniq, first, inv = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-    inv = inv.reshape(-1)
-    rank = np.empty(len(uniq), dtype=np.int64)
-    rank[np.argsort(first, kind="stable")] = np.arange(len(uniq))
-    return rank[inv], len(uniq)
-
-
 def _fibers_of(color: np.ndarray) -> tuple[tuple[int, ...], ...]:
     diag = color.diagonal()
     fibers = {}
@@ -80,19 +104,43 @@ def _fibers_of(color: np.ndarray) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def _modulus(n: int) -> int:
+    """The largest prime p with n * (p - 1)**2 < 2**53."""
+    p = math.isqrt((2**53 - 1) // n) + 1
+    while any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        p -= 1
+    return p
+
+
+def _unstable_pairs(color: np.ndarray, num: int) -> np.ndarray:
+    """n x n mask of the pairs whose path codes differ from their color's first pair."""
+    unstable = np.empty(color.shape, dtype=bool)
+    for lo, codes, expected in _path_code_blocks(color, num):
+        unstable[lo:lo + len(codes)] = (codes != expected).any(axis=2)
+    return unstable
+
+
 def wl_stabilize(matrix) -> CoherentConfiguration:
     """Refine a transpose-paired color matrix to a coherent fixed point."""
     color = canonical_relabel(np.asarray(matrix, dtype=np.int64))
     n = color.shape[0]
     num = int(color.max()) + 1
+    p = _modulus(n)
+    rng = np.random.default_rng(_SEED)
     while True:
-        # signature of (x,y): old color plus sorted pairs (c(x,z), c(z,y))
-        paths = color[:, None, :] * np.int64(num) + color.T[None, :, :]
-        paths.sort(axis=2)
-        sig = np.concatenate((color[:, :, None], paths), axis=2).reshape(n * n, n + 1)
-        labels, new_num = _relabel_rows_first_occurrence(sig)
+        labels = color.ravel()
+        for _ in range(2):
+            left, right = rng.integers(0, p, size=(2, num)).astype(np.float64)
+            # every partial sum is an integer below n * (p - 1)**2 < 2**53, so exact
+            h = np.fmod(left[color] @ right[color], p).astype(np.int64)
+            labels, new_num = _first_occurrence_rank(labels * p + h.ravel())
         if new_num == num:
-            break
+            if num == n * n:  # classes of one pair each are stable
+                break
+            unstable = _unstable_pairs(color, num)
+            if not unstable.any():
+                break
+            labels, new_num = _first_occurrence_rank(color.ravel() * 2 + unstable.ravel())
         color = labels.reshape(n, n)
         num = new_num
     color.setflags(write=False)
@@ -117,23 +165,30 @@ def point_fission(scheme: Scheme, points) -> CoherentConfiguration:
 def validate_configuration(cc: CoherentConfiguration) -> None:
     """Re-check coherence from scratch: constancy, transpose pairing, fibers.
 
-    Raises the same error types as scheme validation; used by tests and
-    the report runner rather than on every construction.
+    Raises the same error types as scheme validation; used by tests
+    rather than on every construction.
     """
-    counts = np.bincount(cc.color.ravel(), minlength=cc.num_colors)
+    color, num = cc.color, cc.num_colors
+    counts = np.bincount(color.ravel(), minlength=num)
     if (counts == 0).any():
         raise ValueError("a color index never occurs")
-    _scan_dual(cc.color, cc.num_colors)
-    _check_constancy(cc.color, cc.num_colors)
-    diag_colors = set(int(d) for d in cc.color.diagonal())
-    for s in range(cc.num_colors):
-        xs, ys = np.nonzero(cc.color == s)
-        row_fibers = set(int(d) for d in cc.color.diagonal()[xs])
-        col_fibers = set(int(d) for d in cc.color.diagonal()[ys])
-        if len(row_fibers) != 1 or len(col_fibers) != 1:
+    _scan_dual(color, num)
+    _check_constancy(color, num)
+    # the fiber of a point is its diagonal color; each color must meet
+    # one fiber at its start points and one at its end points
+    fiber = color.diagonal()
+    straddles = np.zeros(num, dtype=bool)
+    for ends in (fiber[:, None], fiber[None, :]):
+        straddles |= np.bincount(np.unique(color * num + ends) // num, minlength=num) > 1
+    leaves = np.zeros(num, dtype=bool)
+    leaves[fiber] = True
+    leaves &= np.bincount(color[~np.eye(cc.n, dtype=bool)], minlength=num) > 0
+    bad = straddles | leaves
+    if bad.any():
+        s = int(np.argmax(bad))
+        if straddles[s]:
             raise SchemeForgeError("color %d straddles fibers" % s)
-        if s in diag_colors and (xs != ys).any():
-            raise SchemeForgeError("diagonal color %d leaves the diagonal" % s)
+        raise SchemeForgeError("diagonal color %d leaves the diagonal" % s)
 
 
 def is_semiregular_off(cc: CoherentConfiguration, alpha: int) -> bool:
@@ -143,15 +198,13 @@ def is_semiregular_off(cc: CoherentConfiguration, alpha: int) -> bool:
     fiber = next(f for f in cc.fibers if alpha in f)
     if fiber != (alpha,):
         raise NotAFiber("point %d shares a fiber with %s" % (alpha, fiber))
-    touching = set(int(s) for s in cc.color[alpha]) | set(
-        int(s) for s in cc.color[:, alpha]
-    )
-    outdeg = np.zeros((cc.n, cc.num_colors), dtype=np.int64)
-    np.add.at(outdeg, (np.repeat(np.arange(cc.n), cc.n), cc.color.ravel()), 1)
-    keep = np.array([s not in touching for s in range(cc.num_colors)])
-    if not keep.any():
-        return True
-    return int(outdeg[:, keep].max()) <= 1
+    touching = np.zeros(cc.num_colors, dtype=bool)
+    touching[cc.color[alpha]] = True
+    touching[cc.color[:, alpha]] = True
+    # a color has out-degree 2 or more iff it repeats within some sorted row
+    rows = np.sort(cc.color, axis=1)
+    repeated = rows[:, 1:][rows[:, 1:] == rows[:, :-1]]
+    return not (~touching[repeated]).any()
 
 
 def fibers_refine_rows(scheme: Scheme, cc: CoherentConfiguration, alpha: int) -> bool:

@@ -106,38 +106,59 @@ def canonical_relabel(matrix: np.ndarray) -> np.ndarray:
     return labels.reshape(m.shape)
 
 
-# Byte cap on the (rows, n, n) path-code block that _check_constancy sorts
-# at a time; the comparison holds about two more arrays of that size.
+# Byte cap on the (rows, n, n) path-code block that _path_code_blocks sorts
+# at a time; the reference codes and the comparison hold about three more
+# arrays of that size.
 _BLOCK_BYTES = 1 << 23
 
 
-def _check_constancy(color: np.ndarray, r: int) -> np.ndarray:
-    """Check that every c(s,t,u) is constant; return one sorted path column per color.
+def _first_pairs(color: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the first pair of each color in row-major order.
+
+    Every color 0..r-1 must occur.
+    """
+    _, first = np.unique(color, return_index=True)
+    return np.divmod(first, color.shape[0])
+
+
+def _path_code_blocks(color: np.ndarray, r: int):
+    """Yield (lo, codes, expected) for blocks of consecutive rows x.
 
     The path codes of a pair (x,y) are color(x,z) * r + color(z,y) over
     all z, so code s*r + t occurs c(s,t;color(x,y)) times among them.
-    Column u holds the sorted codes of the first pair of color u in
-    row-major order (every color 0..r-1 must occur), and the sorted codes
-    of every other pair of color u must equal it.  Rows x are processed in
-    blocks of at most _BLOCK_BYTES of codes.  On failure the error names
-    the least code s*r + t, then the least pair in row-major order, whose
-    count differs from that of its color's first pair.
+    codes[i, y] holds the sorted codes of the pair (lo + i, y), and
+    expected[i, y] those of the first pair of color(lo + i, y) in
+    row-major order, built for the block's colors only, so that no table
+    over all r colors is held.  A block holds at most _BLOCK_BYTES of
+    codes.  Every color 0..r-1 must occur.
     """
     n = color.shape[0]
     # at least 16 bits: numpy sorts 8-bit keys without its vectorised sort
     dtype = np.promote_types(np.min_scalar_type(r * r - 1), np.uint16)
     scaled = (color * r).astype(dtype)
     transposed = color.T.astype(dtype, order="C")
-    _, first = np.unique(color, return_index=True)
-    xs, ys = np.divmod(first, n)
-    columns = scaled[xs] + transposed[ys]
-    columns.sort(axis=1)
+    xs, ys = _first_pairs(color)
     rows = max(1, _BLOCK_BYTES // (n * n * dtype.itemsize))
-    witness = None
     for lo in range(0, n, rows):
+        block = color[lo:lo + rows]
         codes = scaled[lo:lo + rows, None, :] + transposed[None, :, :]
         codes.sort(axis=2)
-        expected = columns[color[lo:lo + rows]]
+        colors, inverse = np.unique(block, return_inverse=True)
+        reference = scaled[xs[colors]] + transposed[ys[colors]]
+        reference.sort(axis=1)
+        yield lo, codes, reference[inverse.reshape(block.shape)]
+
+
+def _check_constancy(color: np.ndarray, r: int) -> None:
+    """Check that every c(s,t,u) is constant over the pairs of color u.
+
+    The sorted path codes of every pair must equal those of its color's
+    first pair (see _path_code_blocks).  On failure the error names the
+    least code s*r + t, then the least pair in row-major order, whose
+    count differs from that of its color's first pair.
+    """
+    witness = None
+    for lo, codes, expected in _path_code_blocks(color, r):
         differ = codes != expected
         bx, by = np.nonzero(differ.any(axis=2))
         if len(bx) == 0:
@@ -153,11 +174,12 @@ def _check_constancy(color: np.ndarray, r: int) -> np.ndarray:
         code, x, y = witness
         u = int(color[x, y])
         s, t = divmod(code, r)
-        got = int(np.count_nonzero(color[x] * r + color[:, y] == code))
+        xu, yu = np.argwhere(color == u)[0]
         raise NonConstantIntersection(
-            s, t, u, (x, y), int(np.count_nonzero(columns[u] == code)), got
+            s, t, u, (x, y),
+            int(np.count_nonzero(color[xu] * r + color[:, yu] == code)),
+            int(np.count_nonzero(color[x] * r + color[:, y] == code)),
         )
-    return columns
 
 
 def validate(n: int, r: int, color, dual) -> Scheme:
@@ -206,10 +228,10 @@ def validate(n: int, r: int, color, dual) -> Scheme:
         s = int(np.nonzero(counts == 0)[0][0])
         raise ValueError("color %d never occurs" % s)
 
-    columns = _check_constancy(mat, r)
+    _check_constancy(mat, r)
     c = np.empty((r, r, r), dtype=np.int64)
-    for u in range(r):
-        c[:, :, u] = np.bincount(columns[u], minlength=r * r).reshape(r, r)
+    for u, (x, y) in enumerate(zip(*_first_pairs(mat))):
+        c[:, :, u] = np.bincount(mat[x] * r + mat[:, y], minlength=r * r).reshape(r, r)
     valencies = c[np.arange(r), dual_arr, 0].copy()
     for arr in (mat, dual_arr, c, valencies):
         arr.setflags(write=False)
@@ -223,24 +245,25 @@ def from_matrix(color) -> Scheme:
         raise ValueError("color matrix must be square")
     n = mat.shape[0]
     r = int(mat.max()) + 1 if mat.size else 0
+    if mat.size and mat.min() < 0:
+        raise ValueError("color entries must lie in 0..%d" % (r - 1))
     dual = _scan_dual(mat, r)
     return validate(n, r, mat, dual)
 
 
 def _scan_dual(mat: np.ndarray, r: int) -> np.ndarray:
     """Derive s -> s* from the matrix; DualViolation if transpose mixes colors."""
-    dual = np.empty(r, dtype=np.int64)
-    transposed = mat.T
-    for s in range(r):
-        vals = np.unique(transposed[mat == s])
-        if len(vals) == 0:
+    pairs = np.unique(mat * r + mat.T)
+    firsts, seconds = np.divmod(pairs, r)
+    met = np.bincount(firsts, minlength=r)
+    if (met != 1).any():
+        s = int(np.argmax(met != 1))
+        if met[s] == 0:
             raise ValueError("color %d never occurs" % s)
-        if len(vals) != 1:
-            raise DualViolation(
-                "transpose of color %d meets colors %s" % (s, list(map(int, vals)))
-            )
-        dual[s] = vals[0]
-    return dual
+        raise DualViolation(
+            "transpose of color %d meets colors %s" % (s, list(map(int, seconds[firsts == s])))
+        )
+    return seconds
 
 
 def valency(scheme: Scheme, s: int) -> int:

@@ -42,6 +42,21 @@ def c53():
 
 
 @pytest.fixture(scope="session")
+def c101():
+    return sf.orbital_scheme(sf.cyclotomic_frobenius(101))
+
+
+@pytest.fixture(scope="session")
+def v125():
+    return sf.orbital_scheme(sf.vector_frobenius(5, 3))
+
+
+@pytest.fixture(scope="session")
+def c197():
+    return sf.orbital_scheme(sf.cyclotomic_frobenius(197))
+
+
+@pytest.fixture(scope="session")
 def battery(z5, z13, z17, z29, v25):
     return {"z5": z5, "z13": z13, "z17": z17, "z29": z29, "v25": v25}
 

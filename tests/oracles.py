@@ -10,7 +10,8 @@ import math
 
 import numpy as np
 
-from scheme_forge import NonConstantIntersection
+import scheme_forge as sf
+from scheme_forge import DualViolation, NonConstantIntersection
 
 
 def adjacency_matrices(scheme):
@@ -19,7 +20,9 @@ def adjacency_matrices(scheme):
 
 def tensor_by_matmul(scheme):
     """c(s,t,u) read off A_s @ A_t at one representative pair per color."""
-    mats = adjacency_matrices(scheme)
+    # float64 products of 0/1 matrices go through BLAS and are exact:
+    # every entry is a count below n << 2**53
+    mats = [a.astype(np.float64) for a in adjacency_matrices(scheme)]
     reps = []
     for u in range(scheme.r):
         xs, ys = np.nonzero(scheme.color == u)
@@ -63,6 +66,36 @@ def constancy_by_matmul(color, r):
                 )
             c[s, t] = np.rint(witness).astype(np.int64)
     return c
+
+
+def dual_by_colors(mat, r):
+    """s -> s* by one scan of the matrix per color.
+
+    ValueError for the first color that never occurs, DualViolation for
+    the first whose transposed pairs carry more than one color.
+    """
+    dual = np.empty(r, dtype=np.int64)
+    for s in range(r):
+        vals = np.unique(mat.T[mat == s])
+        if len(vals) == 0:
+            raise ValueError("color %d never occurs" % s)
+        if len(vals) != 1:
+            raise DualViolation("transpose of color %d meets colors %s" % (s, list(map(int, vals))))
+        dual[s] = vals[0]
+    return dual
+
+
+def fiber_error_by_colors(color, num):
+    """Message for the first color that straddles fibers or, being a
+    diagonal color, leaves the diagonal; None when there is none."""
+    diagonal = color.diagonal()
+    for s in range(num):
+        xs, ys = np.nonzero(color == s)
+        if len(set(diagonal[xs].tolist())) != 1 or len(set(diagonal[ys].tolist())) != 1:
+            return "color %d straddles fibers" % s
+        if s in diagonal and (xs != ys).any():
+            return "diagonal color %d leaves the diagonal" % s
+    return None
 
 
 def inner_by_trace(scheme, s, t, u, v):
@@ -158,6 +191,38 @@ def aut_by_anchors(scheme):
 
             place(0)
     return sorted(set(found))
+
+
+def wl_by_sorted_paths(matrix):
+    """Pair refinement with exact signatures; returns the stable color matrix.
+
+    Each round recolors (x,y) by its old color and the sorted codes
+    c(x,z) * num + c(z,y) over all z, numbering colors by first
+    occurrence in row-major order, until the color count stops growing.
+    Builds n x n x n arrays, so only for small n.
+    """
+    color = sf.canonical_relabel(np.asarray(matrix, dtype=np.int64))
+    n = color.shape[0]
+    num = int(color.max()) + 1
+    while True:
+        paths = color[:, None, :] * np.int64(num) + color.T[None, :, :]
+        paths.sort(axis=2)
+        sig = np.concatenate((color[:, :, None], paths), axis=2).reshape(n * n, n + 1)
+        uniq, first, inv = np.unique(sig, axis=0, return_index=True, return_inverse=True)
+        if len(uniq) == num:
+            return color
+        rank = np.empty(len(uniq), dtype=np.int64)
+        rank[np.argsort(first, kind="stable")] = np.arange(len(uniq))
+        color = rank[inv.reshape(-1)].reshape(n, n)
+        num = len(uniq)
+
+
+def point_fission_by_sorted_paths(scheme, points):
+    """wl_by_sorted_paths on the scheme's colors, each given point individualized."""
+    marker = np.zeros(scheme.n, dtype=np.int64)
+    marker[list(points)] = np.arange(1, len(points) + 1)
+    m = len(points) + 1
+    return wl_by_sorted_paths((scheme.color * m + marker[:, None]) * m + marker[None, :])
 
 
 def wl_partition_by_dicts(color):

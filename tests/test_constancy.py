@@ -2,10 +2,12 @@
 
 Equal tensors on valid schemes; on corrupted ones the same
 NonConstantIntersection fields and message, including a corruption that
-only the last row block can see.  validate_configuration runs the same
+only the last row block can see and one that only a reference pair in
+another block can show.  validate_configuration runs the same
 check without building a tensor.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -20,21 +22,6 @@ import oracles
 
 
 @pytest.fixture(scope="session")
-def c101():
-    return sf.orbital_scheme(sf.cyclotomic_frobenius(101))
-
-
-@pytest.fixture(scope="session")
-def v125():
-    return sf.orbital_scheme(sf.vector_frobenius(5, 3))
-
-
-@pytest.fixture(scope="session")
-def c197():
-    return sf.orbital_scheme(sf.cyclotomic_frobenius(197))
-
-
-@pytest.fixture(scope="session")
 def corruptible(battery, c53):
     return {name: battery[name] for name in ("z13", "z17", "z29", "v25")} | {"c53": c53}
 
@@ -42,7 +29,7 @@ def corruptible(battery, c53):
 def _outcome(call):
     try:
         return call()
-    except sf.NonConstantIntersection as exc:
+    except (ValueError, sf.DualViolation, sf.NonConstantIntersection) as exc:
         return exc
 
 
@@ -106,6 +93,76 @@ def test_corruption_seen_only_by_last_block(c197):
     exc = _assert_same_outcome(bad, c197.r)
     assert isinstance(exc, sf.NonConstantIntersection)
     assert exc.pair[0] >= rows
+
+
+def test_corruption_seen_only_across_blocks(z13, monkeypatch):
+    # Merge two colors of a fission whose pairs start in disjoint rows and
+    # end in disjoint columns, and merge their transposes.  With one row per
+    # block, each block is consistent on its own: only the reference codes
+    # of a first pair in another block show the fault.
+    monkeypatch.setattr(scheme_core, "_BLOCK_BYTES", 1)
+    cc = sf.point_fission(z13, (0,))
+    color, dual = cc.color, scheme_core._scan_dual(cc.color, cc.num_colors)
+    ends = [(set(xs), set(ys)) for xs, ys in (np.nonzero(color == s) for s in range(cc.num_colors))]
+    u = 1
+    v = next(v for v in range(u + 1, cc.num_colors)
+             if v not in (dual[u], *color.diagonal()) and (dual[v] == v) == (dual[u] == u)
+             and not ends[u][0] & ends[v][0] and not ends[u][1] & ends[v][1])
+    bad = color.copy()
+    bad[bad == v] = u
+    bad[bad == dual[v]] = dual[u]
+    bad = sf.canonical_relabel(bad)
+    r = int(bad.max()) + 1
+    codes = np.sort(bad[:, None, :] * r + bad.T[None, :, :], axis=2)
+    for x in range(cc.n):
+        for s in np.unique(bad[x]):
+            assert (codes[x, bad[x] == s] == codes[x, np.argmax(bad[x] == s)]).all()
+    with pytest.raises(sf.NonConstantIntersection) as expected:
+        oracles.constancy_by_matmul(bad, r)
+    with pytest.raises(sf.NonConstantIntersection) as caught:
+        sf.validate_configuration(fission.CoherentConfiguration(cc.n, bad, r, cc.fibers))
+    fields = ("s", "t", "u", "pair", "expected", "got")
+    assert [getattr(caught.value, f) for f in fields] == [getattr(expected.value, f) for f in fields]
+    assert str(caught.value) == str(expected.value)
+    assert caught.value.pair[0] != np.argwhere(bad == caught.value.u)[0][0]
+
+
+@given(data=st.data())
+def test_dual_scan_matches_oracle(corruptible, data):
+    scheme = corruptible[data.draw(st.sampled_from(sorted(corruptible)))]
+    bad = scheme.color.copy()
+    for _ in range(data.draw(st.integers(0, 3))):
+        x, y = data.draw(st.integers(0, scheme.n - 1)), data.draw(st.integers(0, scheme.n - 1))
+        bad[x, y] = data.draw(st.integers(0, scheme.r - 1))
+    expected = _outcome(lambda: oracles.dual_by_colors(bad, scheme.r))
+    got = _outcome(lambda: scheme_core._scan_dual(bad, scheme.r))
+    if isinstance(expected, np.ndarray):
+        assert np.array_equal(got, expected)
+    else:
+        assert type(got) is type(expected) and str(got) == str(expected)
+
+
+def test_fiber_check_matches_oracle(z13, monkeypatch):
+    # merging two colors of a fission breaks constancy first, so the
+    # earlier checks are skipped to reach the fiber checks
+    monkeypatch.setattr(fission, "_scan_dual", lambda color, num: None)
+    monkeypatch.setattr(fission, "_check_constancy", lambda color, num: None)
+    cc = sf.point_fission(z13, (0,))
+    messages = set()
+    for u, v in itertools.combinations(range(cc.num_colors), 2):
+        bad = cc.color.copy()
+        bad[bad == v] = u
+        bad = sf.canonical_relabel(bad)
+        num = cc.num_colors - 1
+        expected = oracles.fiber_error_by_colors(bad, num)
+        try:
+            sf.validate_configuration(fission.CoherentConfiguration(cc.n, bad, num, cc.fibers))
+            got = None
+        except sf.SchemeForgeError as exc:
+            got = str(exc)
+        assert got == expected, (u, v)
+        messages.add(got.split()[-1] if got else None)
+    assert messages == {None, "fibers", "diagonal"}
 
 
 def test_validate_c53_one_point_fission(c53):

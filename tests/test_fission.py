@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,55 @@ def test_wl_fixes_scheme_matrices(battery):
         cfg = sf.wl_stabilize(scheme.color)
         assert cfg.num_colors == scheme.r
         assert oracles.partition_of(cfg.color) == oracles.partition_of(scheme.color)
+
+
+LADDER = ("z5", "z13", "z17", "z29", "v25", "c53", "c101", "v125", "c197")
+
+
+@pytest.fixture(scope="session")
+def ladder(battery, c53, c101, v125, c197):
+    return battery | {"c53": c53, "c101": c101, "v125": v125, "c197": c197}
+
+
+@pytest.mark.parametrize("name", LADDER)
+def test_fissions_match_sorted_path_oracle(ladder, name):
+    scheme = ladder[name]
+    for points in ((0,), (0, 1)):
+        cc = sf.point_fission(scheme, points)
+        expected = oracles.point_fission_by_sorted_paths(scheme, points)
+        assert np.array_equal(cc.color, expected), points
+        assert cc.num_colors == int(expected.max()) + 1
+
+
+@pytest.mark.parametrize("modulus", (1, 3))
+def test_colliding_evaluations_fall_back_to_exact_splits(ladder, modulus, monkeypatch):
+    # modulo 3 the random evaluations collide often; modulo 1 they are all
+    # zero, so every split must come from the exact fallback
+    found = []
+    original = fission._unstable_pairs
+
+    def recording(color, num):
+        unstable = original(color, num)
+        found.append(bool(unstable.any()))
+        return unstable
+
+    monkeypatch.setattr(fission, "_modulus", lambda n: modulus)
+    monkeypatch.setattr(fission, "_unstable_pairs", recording)
+    for name in ("z13", "z17", "v25", "c53"):
+        scheme = ladder[name]
+        for points in ((0,), (0, 1)):
+            cc = sf.point_fission(scheme, points)
+            expected = oracles.point_fission_by_sorted_paths(scheme, points)
+            assert np.array_equal(cc.color, expected), (name, points)
+    if modulus == 1:
+        assert any(found)
+
+
+def test_modulus_keeps_products_exact():
+    for n in (1, 2, 13, 625, 10**6):
+        p = fission._modulus(n)
+        assert n * (p - 1) ** 2 < 2**53 < n * (2 * p) ** 2
+        assert all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 def test_wl_matches_dict_oracle():

@@ -43,9 +43,9 @@ def test_battery_automorphisms_have_one_orbit(battery, auts):
         assert groups.orbits(aut) == (tuple(range(battery[name].n)),), name
 
 
-@pytest.mark.parametrize("name", ORBIT_BATTERY)
-def test_orbit_report_matches_every_point(battery, name):
-    scheme = battery[name]
+@pytest.mark.parametrize("name", ORBIT_BATTERY + ("c53",))
+def test_orbit_report_matches_every_point(battery, c53, name):
+    scheme = c53 if name == "c53" else battery[name]
     aut = sf.automorphism_group(scheme)
     has_rotation = bool(sf.phi_psi(scheme).s3)
     for alpha in range(scheme.n):
@@ -119,12 +119,26 @@ def test_report_past_the_bound_sweeps_every_point(z13, tmp_path, capsys, monkeyp
     assert checked == list(range(13))
 
 
-def test_relabelled_z29_keeps_every_status(z29):
-    rng = np.random.default_rng(29)
-    points = rng.permutation(z29.n)
-    colors = np.concatenate(([0], 1 + rng.permutation(z29.r - 1)))
-    color = np.empty_like(z29.color)
-    color[np.ix_(points, points)] = colors[z29.color]
+def _invariants(scheme, name):
+    """|Aut|, |s2|, |s3|, the base number and every report status."""
+    pp = sf.phi_psi(scheme)
+    try:
+        base = sf.base_number(scheme)
+    except sf.CutoffExceeded:
+        base = None
+    order = groups.group_order(sf.automorphism_group(scheme))
+    return order, len(pp.s2), len(pp.s3), base, _statuses(sf.build_report(scheme, name))
+
+
+@pytest.mark.parametrize("name", ("z5",) + ORBIT_BATTERY)
+def test_relabelled_battery_keeps_every_invariant(battery, name):
+    scheme = battery[name]
+    rng = np.random.default_rng(scheme.n)
+    points = rng.permutation(scheme.n)
+    colors = np.concatenate(([0], 1 + rng.permutation(scheme.r - 1)))
+    color = np.empty_like(scheme.color)
+    color[np.ix_(points, points)] = colors[scheme.color]
     relabelled = sf.from_matrix(color)
-    assert not np.array_equal(relabelled.color, z29.color)
-    assert _statuses(sf.build_report(relabelled, "z29")) == _statuses(sf.build_report(z29, "z29"))
+    # z5 is the complete graph K5, which every relabelling fixes
+    assert name == "z5" or not np.array_equal(relabelled.color, scheme.color)
+    assert _invariants(relabelled, name) == _invariants(scheme, name)

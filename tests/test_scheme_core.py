@@ -88,6 +88,13 @@ def test_missing_color_index():
     color *= 2  # colors {0, 2}: index 1 never occurs
     with pytest.raises(ValueError):
         sf.validate(3, 3, color, np.array([0, 1, 2]))
+    with pytest.raises(ValueError, match="^color 1 never occurs$"):
+        sf.from_matrix(color)
+
+
+def test_negative_color_rejected():
+    with pytest.raises(ValueError, match=r"^color entries must lie in 0\.\.1$"):
+        sf.from_matrix(np.array([[0, 1], [-1, 0]]))
 
 
 def test_canonical_relabel_first_occurrence():
