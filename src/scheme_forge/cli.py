@@ -444,6 +444,8 @@ def _parse_points(text: str, n: int) -> tuple[int, ...]:
 def _cmd_gen(args) -> int:
     if args.family == "cyclotomic":
         group = groups.cyclotomic_frobenius(args.p)
+    elif args.d < 1:
+        raise UsageError("--d must be at least 1")
     else:
         group = groups.vector_frobenius(args.p, args.d)
     scheme = groups.orbital_scheme(group)

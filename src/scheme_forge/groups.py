@@ -8,6 +8,11 @@ Automorphism groups come from a base-driven search (Sims 1970; McKay and
 Piperno 2014): once the images of a resolving base are chosen, every other
 point's image is forced, so only base images are enumerated, and each
 forced map is checked on all n x n pairs.
+
+Frobenius witnesses are certified by the paper's argument, not re-derived:
+in a 4-equivalenced scheme, a transitive group of 4n automorphisms holding
+a rotation at 0 is one (see frobenius_witness), so when |Aut| = 4n, Aut
+itself is the witness.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from .scheme_core import (
     FormatError,
     Scheme,
     SchemeForgeError,
-    canonical_relabel,
+    is_k_equivalenced,
     validate,
     _scan_dual,
 )
@@ -44,7 +49,10 @@ class BadPrime(SchemeForgeError):
 
 
 class DegreeTooLarge(SchemeForgeError):
-    """p**d points exceed the configured degree limit."""
+    """p**d points exceed MAX_DEGREE."""
+
+
+MAX_DEGREE = 2048
 
 
 def identity_perm(n: int) -> Perm:
@@ -179,13 +187,6 @@ def orbital_scheme(group: PermGroup) -> Scheme:
     """
     if not is_transitive(group):
         raise NotTransitive("group is not transitive on its points")
-    color = _orbital_colors(group)
-    r = int(color.max()) + 1
-    return validate(group.degree, r, color, _scan_dual(color, r))
-
-
-def _orbital_colors(group: PermGroup) -> np.ndarray:
-    """n x n matrix of orbit numbers on ordered pairs, by row-major minimal pair."""
     n = group.degree
     color = np.full((n, n), -1, dtype=np.int64)
     next_color = 0
@@ -203,7 +204,7 @@ def _orbital_colors(group: PermGroup) -> np.ndarray:
                         color[pair] = next_color
                         stack.append(pair)
             next_color += 1
-    return color
+    return validate(n, next_color, color, _scan_dual(color, next_color))
 
 
 def _is_prime(m: int) -> bool:
@@ -226,27 +227,25 @@ def _least_order_four_unit(p: int) -> int:
 
 def cyclotomic_frobenius(p: int) -> PermGroup:
     """Translations of Z_p extended by its least multiplier of order 4."""
-    if not _is_prime(p) or p % 4 != 1:
-        raise BadPrime("need a prime congruent to 1 mod 4, got %d" % p)
-    g = _least_order_four_unit(p)
-    translation = tuple((x + 1) % p for x in range(p))
-    scaling = tuple((g * x) % p for x in range(p))
-    return PermGroup(p, (translation, scaling))
+    return vector_frobenius(p, 1)
 
 
-def vector_frobenius(p: int, d: int, max_degree: int = 2048) -> PermGroup:
+def vector_frobenius(p: int, d: int) -> PermGroup:
     """Translations of (Z_p)^d extended by the scalar of order 4.
 
     Points are coordinate vectors packed little-endian: index(v) = sum
-    of v[i] * p**i.
+    of v[i] * p**i.  DegreeTooLarge, before anything is allocated, when
+    p**d exceeds MAX_DEGREE.
     """
-    if not _is_prime(p) or p % 4 != 1:
-        raise BadPrime("need a prime congruent to 1 mod 4, got %d" % p)
     if d < 1:
         raise ValueError("dimension must be positive")
+    # |p| >= 2 passes MAX_DEGREE by the exponent MAX_DEGREE.bit_length(), so the capped
+    # power decides without computing a huge p**d, and before the trial division
+    if abs(p) > 1 and abs(p) ** min(d, MAX_DEGREE.bit_length()) > MAX_DEGREE:
+        raise DegreeTooLarge("%d**%d points exceed limit %d" % (p, d, MAX_DEGREE))
+    if not _is_prime(p) or p % 4 != 1:
+        raise BadPrime("need a prime congruent to 1 mod 4, got %d" % p)
     n = p**d
-    if n > max_degree:
-        raise DegreeTooLarge("%d**%d = %d points exceeds limit %d" % (p, d, n, max_degree))
     g = _least_order_four_unit(p)
     coords = np.array([[(idx // p**i) % p for i in range(d)] for idx in range(n)])
     weights = np.array([p**i for i in range(d)])
@@ -337,6 +336,13 @@ def _greedy_generators(elements, n: int) -> list[Perm]:
     return gens
 
 
+def _rotations(scheme: Scheme, elements, alpha: int):
+    """Elements of order 4 fixing alpha whose orbits off alpha are its rows."""
+    rows = {frozenset(int(y) for y in scheme.row(alpha, s)) for s in scheme.nondiagonal()}
+    return (g for g in elements if g[alpha] == alpha and perm_order(g) == 4
+            and cycles_of(g, skip=(alpha,)) == rows)
+
+
 def sigma_alpha(scheme: Scheme, alpha: int, group: PermGroup | None = None,
                 bound: int = DEFAULT_BOUND) -> Perm | None:
     """Order-4 automorphism fixing alpha whose orbits off alpha are its rows.
@@ -346,15 +352,7 @@ def sigma_alpha(scheme: Scheme, alpha: int, group: PermGroup | None = None,
     """
     if group is None:
         group = automorphism_group(scheme, bound)
-    rows = {
-        frozenset(int(y) for y in scheme.row(alpha, s)) for s in scheme.nondiagonal()
-    }
-    for g in enumerate_elements(group, bound):
-        if g[alpha] != alpha or perm_order(g) != 4:
-            continue
-        if cycles_of(g, skip=(alpha,)) == rows:
-            return g
-    return None
+    return next(_rotations(scheme, enumerate_elements(group, bound), alpha), None)
 
 
 def two_point_rigidity(scheme: Scheme, group: PermGroup | None = None,
@@ -377,53 +375,47 @@ class FrobeniusCertificate:
     orbital_match: bool
 
 
-def _partition_matches(scheme: Scheme, other_color: np.ndarray) -> bool:
-    return bool(
-        np.array_equal(canonical_relabel(scheme.color), canonical_relabel(other_color))
-    )
-
-
-def _certificate_from(scheme: Scheme, elems) -> FrobeniusCertificate | None:
-    elems = tuple(sorted(elems))
-    n = scheme.n
-    witness = PermGroup(n, tuple(_greedy_generators(elems, n)), _elements=elems)
-    if not frobenius_check(witness):
-        return None
-    # a transitive group's orbitals always form a scheme, so no validate here
-    if not _partition_matches(scheme, _orbital_colors(witness)):
-        return None
-    ident = identity_perm(n)
-    kernel = 1 + sum(1 for g in elems if g != ident and not fixed_points(g))
-    if len(elems) % kernel != 0:
-        return None
-    return FrobeniusCertificate(witness, kernel, len(elems) // kernel, True)
+def _certified(scheme: Scheme, group: PermGroup) -> FrobeniusCertificate | None:
+    """Certify 4n permutations holding a rotation at 0 if they are transitive
+    and every generator preserves every color (the lemma's hypotheses)."""
+    color = scheme.color
+    if is_transitive(group) and all(
+            np.array_equal(color[np.ix_(g, g)], color) for g in group.generators):
+        return FrobeniusCertificate(group, scheme.n, 4, True)
+    return None
 
 
 def frobenius_witness(scheme: Scheme, group: PermGroup | None = None,
                       bound: int = DEFAULT_BOUND) -> FrobeniusCertificate | None:
     """Find a Frobenius subgroup of Aut whose orbitals are exactly the colors.
 
-    First the kernel route: the fixed-point-free automorphisms plus the
-    identity, when they close into a regular subgroup, are extended by a
-    point-stabilizing rotation.  If that fails (the automorphism group
-    can be much larger than any witness at small rank), pairs of one
-    rotation and one fixed-point-free element are closed and tested.
+    Lemma.  In a 4-equivalenced scheme on n points, let H be a transitive
+    group of 4n color-preserving permutations holding a rotation sigma at 0
+    (see sigma_alpha).  Then H is Frobenius with kernel n and stabilizer 4:
+    H_0 has order 4 and contains sigma, so H_0 = <sigma>; the orbits of
+    <sigma> off 0 are the rows of 0, so the orbitals of H are the colors;
+    the rows have 4 points, so no power of sigma but the identity fixes a
+    second point, nor does any conjugate of one; that leaves n - 1
+    fixed-point-free elements, so the kernel has order n.  (With a row of
+    fewer than 4 points, sigma**2 fixes two points: there is no witness.)
+
+    When |Aut| = 4n, Aut is the only candidate.  Otherwise the kernel route
+    extends the fixed-point-free automorphisms and the identity, if they
+    close into a subgroup, by a rotation; then the pair route closes one
+    rotation with one fixed-point-free element.
     """
     n = scheme.n
     if group is None:
         group = automorphism_group(scheme, bound)
     elems = enumerate_elements(group, bound)
+    rotations = list(_rotations(scheme, elems, 0))
+    if is_k_equivalenced(scheme) != 4 or not rotations:
+        return None
+    if len(elems) == 4 * n:
+        return _certified(scheme, group)
+
     ident = identity_perm(n)
     fpf = [g for g in elems if g != ident and not fixed_points(g)]
-    rows = {frozenset(int(y) for y in scheme.row(0, s)) for s in scheme.nondiagonal()}
-    rotations = [
-        g
-        for g in elems
-        if g[0] == 0
-        and perm_order(g) == 4
-        and cycles_of(g, skip=(0,)) == rows
-    ]
-
     candidates = []
     kernel = set(fpf) | {ident}
     if len(kernel) == n:
@@ -435,7 +427,9 @@ def frobenius_witness(scheme: Scheme, group: PermGroup | None = None,
     for gens in candidates:
         closed = _closure(gens, n, 4 * n)
         if closed is not None and len(closed) == 4 * n:
-            cert = _certificate_from(scheme, closed)
+            closed = tuple(sorted(closed))
+            witness = PermGroup(n, tuple(_greedy_generators(closed, n)), _elements=closed)
+            cert = _certified(scheme, witness)
             if cert is not None:
                 return cert
     return None

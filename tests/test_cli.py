@@ -1,11 +1,18 @@
+import contextlib
 import gc
+import io
 import json
+import os
+import subprocess
+import sys
 import threading
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import scheme_forge as sf
-from scheme_forge import fission, planes
+from scheme_forge import fission, groups, planes
 from scheme_forge.cli import run
 
 
@@ -73,6 +80,22 @@ def test_usage_errors_exit_2():
     assert run(["gen"]) == 2
     assert run(["no-such-command"]) == 2
     assert run(["plane"]) == 2  # missing required --s and file
+
+
+def test_gen_size_and_dimension_errors(capsys):
+    # refused before the n x n tables are allocated
+    assert _exit_without_traceback(["gen", "cyclotomic", "--p", "30013"], capsys) == 1
+    assert _exit_without_traceback(["gen", "vector", "--p", "5", "--d", "10000"], capsys) == 1
+    for d in ("0", "-2"):
+        assert _exit_without_traceback(["gen", "vector", "--p", "5", "--d", d], capsys) == 2
+
+
+def test_module_run_prints_no_warning(z13_file):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sf.__file__)))
+    done = subprocess.run([sys.executable, "-m", "scheme_forge.cli", "check", z13_file],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0
+    assert done.stderr == ""
 
 
 def test_props_json(z13_file, capsys):
@@ -264,6 +287,46 @@ def _exit_without_traceback(argv, capsys):
     code = run(argv)
     assert "Traceback" not in capsys.readouterr().err
     return code
+
+
+@st.composite
+def _argvs(draw, path):
+    num = lambda lo, hi: str(draw(st.integers(lo, hi)))
+    command = draw(st.sampled_from(
+        ["cyclotomic", "vector", "check", "props", "lemmas", "plane", "fission", "base",
+         "aut", "frobenius", "design", "report"]))
+    if command in ("cyclotomic", "vector"):
+        p = draw(st.one_of(st.sampled_from([5, 13, 17, 29, 37, 41, 53]), st.integers(-2, 60)))
+        d = draw(st.integers(-1, 3)) if command == "vector" else 1
+        # 200 to 2048 points take seconds to build; more are refused up front
+        assume(not 200 < p ** max(d, 1) <= groups.MAX_DEGREE)
+        return ["gen", command, "--p", str(p)] + (["--d", str(d)] if command == "vector" else [])
+    argv = [command, path]
+    if command == "plane":
+        argv += ["--s", num(-1, 5), "--alpha", num(-2, 15), "--radius", num(-1, 4)]
+    if command == "fission":
+        points = draw(st.lists(st.integers(-2, 15), min_size=1, max_size=3))
+        argv += ["--points", ",".join(map(str, points))]
+    if command in ("plane", "aut", "frobenius", "report"):
+        argv += ["--bound", num(-1, 100)]
+    if command in ("base", "report"):
+        argv += ["--cutoff", num(-1, 4)]
+    if command == "report":
+        argv += ["--radius", num(-1, 4)]
+    if command != "check" and draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_argv_fuzz_exits_cleanly(z13_file, data):
+    argv = data.draw(_argvs(z13_file))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
 
 
 def test_fission_points_not_integers_exit_2(two_point_file, capsys):

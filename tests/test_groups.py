@@ -66,9 +66,11 @@ def test_cyclotomic_group_shape():
 
 
 def test_vector_construction_matches_prime_case():
-    a = sf.orbital_scheme(sf.cyclotomic_frobenius(5))
-    b = sf.orbital_scheme(sf.vector_frobenius(5, 1))
-    assert np.array_equal(a.color, b.color)
+    # d = 1 is the prime field: translation by 1, then the least unit of order 4
+    for p, unit in ((5, 2), (13, 5), (17, 4)):
+        expected = (tuple((x + 1) % p for x in range(p)), tuple(unit * x % p for x in range(p)))
+        assert sf.vector_frobenius(p, 1).generators == expected
+        assert sf.cyclotomic_frobenius(p).generators == expected
 
 
 def test_vector_frobenius_sizes():
@@ -81,6 +83,12 @@ def test_vector_frobenius_sizes():
 def test_vector_frobenius_degree_cap():
     with pytest.raises(groups.DegreeTooLarge):
         sf.vector_frobenius(13, 4)
+    # refused before the primality test and before p**d is computed
+    for p, d in ((30013, 1), (10**12 + 39, 1), (5, 10**4)):
+        with pytest.raises(groups.DegreeTooLarge):
+            sf.vector_frobenius(p, d)
+    with pytest.raises(groups.DegreeTooLarge):
+        sf.cyclotomic_frobenius(30013)
 
 
 def test_orbital_scheme_needs_transitive():
@@ -266,17 +274,112 @@ def test_witness_on_symmetric_group_scheme(z5, auts):
     assert cert.kernel_size * cert.stabilizer_order == 20
 
 
-def test_witness_orbitals_are_not_revalidated(z13, auts, monkeypatch):
-    # the witness is transitive, so its orbitals form a scheme without validate
-    expected = sf.frobenius_witness(z13, group=auts["z13"])
+def test_aut_is_the_witness_without_closure(z13, v25, c53, auts, monkeypatch):
+    # |Aut| = 4n, so the lemma certifies Aut itself: no closure, no products,
+    # no fixed-point scan, no re-check and no orbital scheme to validate
+    cases = [(z13, auts["z13"]), (v25, auts["v25"]), (c53, sf.automorphism_group(c53))]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("validate called")
+        raise AssertionError("called")
 
-    monkeypatch.setattr(groups, "validate", refuse)
-    cert = sf.frobenius_witness(z13, group=auts["z13"])
-    assert cert.group.generators == expected.group.generators
-    assert (cert.kernel_size, cert.stabilizer_order, cert.orbital_match) == (13, 4, True)
+    for name in ("_closure", "compose", "fixed_points", "_greedy_generators",
+                 "frobenius_check", "validate"):
+        monkeypatch.setattr(groups, name, refuse)
+    for scheme, aut in cases:
+        cert = sf.frobenius_witness(scheme, group=aut)
+        assert cert.group.generators == aut.generators
+        assert (cert.kernel_size, cert.stabilizer_order, cert.orbital_match) == (scheme.n, 4, True)
+
+
+def _f9_frobenius():
+    # F_9 = Z_3[i] with point a + 3b for a + bi: translations by 1 and by i,
+    # then multiplication by i, (a, b) -> (-b, a)
+    pts = [(a, b) for b in range(3) for a in range(3)]
+    index = lambda a, b: a % 3 + 3 * (b % 3)
+    gens = [tuple(index(a + 1, b) for a, b in pts), tuple(index(a, b + 1) for a, b in pts),
+            tuple(index(-b, a) for a, b in pts)]
+    return sf.PermGroup(9, tuple(gens))
+
+
+def test_f9_witness_from_a_larger_aut():
+    # |Aut| = 72 is not 4n, and Aut has more fixed-point-free elements than
+    # translations, so the pair route finds the witness
+    scheme = sf.orbital_scheme(_f9_frobenius())
+    aut = sf.automorphism_group(scheme)
+    assert sf.group_order(aut) == 72
+    cert = sf.frobenius_witness(scheme, group=aut)
+    assert (cert.kernel_size, cert.stabilizer_order, cert.orbital_match) == (9, 4, True)
+    assert cert.group.generators == (
+        (0, 2, 1, 6, 8, 7, 3, 5, 4), (0, 3, 6, 2, 5, 8, 1, 4, 7), (1, 0, 2, 7, 6, 8, 4, 3, 5))
+    assert oracles.frobenius_by_definition(set(groups.enumerate_elements(cert.group)), 9)
+
+
+def test_witness_needs_a_rotation():
+    # Sym(3) x Sym(3) on the 3 x 3 grid of F_9 is transitive, color-preserving
+    # and of order 36 = 4n, but its point stabilizer is C2 x C2
+    pts = [(a, b) for b in range(3) for a in range(3)]
+    index = lambda a, b: a % 3 + 3 * (b % 3)
+    maps = (lambda a, b: (a + 1, b), lambda a, b: (-a, b),
+            lambda a, b: (a, b + 1), lambda a, b: (a, -b))
+    grid = sf.PermGroup(9, tuple(tuple(index(*f(a, b)) for a, b in pts) for f in maps))
+    scheme = sf.orbital_scheme(_f9_frobenius())
+    assert sf.group_order(grid) == 36 and groups.is_transitive(grid)
+    assert all(oracles.is_automorphism(scheme.color, g) for g in grid.generators)
+    assert sf.frobenius_witness(scheme, group=grid) is None
+
+
+def test_witness_by_the_kernel_route(z17, monkeypatch):
+    # Z_17 extended by x -> 2x, of order 8, is Frobenius of order 136: its
+    # fixed-point-free elements close into Z_17, and the first rotation (x -> 4x)
+    # extends that kernel to the witness of 68 elements
+    translation = tuple((x + 1) % 17 for x in range(17))
+    group = sf.PermGroup(17, (translation, tuple(2 * x % 17 for x in range(17))))
+    assert sf.group_order(group) == 136
+    limits = []
+    closure = groups._closure
+
+    def spy(gens, n, limit):
+        limits.append(limit)
+        return closure(gens, n, limit)
+
+    monkeypatch.setattr(groups, "_closure", spy)
+    cert = sf.frobenius_witness(z17, group=group)
+    assert [limit for limit in limits if limit is not None] == [17, 68]
+    assert (cert.kernel_size, cert.stabilizer_order, cert.orbital_match) == (17, 4, True)
+    assert cert.group.generators == (
+        tuple(4 * x % 17 for x in range(17)), tuple((1 - x) % 17 for x in range(17)))
+
+
+def test_witness_needs_colors_preserved(z13, auts):
+    # swapping two points of one row of 0 keeps the group transitive, of
+    # order 52 and holding a rotation at 0, but it no longer preserves colors
+    x, y = (int(v) for v in z13.row(0, 1)[:2])
+    swap = list(range(13))
+    swap[x], swap[y] = y, x
+    swap = tuple(swap)
+    conjugated = sf.PermGroup(
+        13, tuple(sf.compose(sf.compose(swap, g), swap) for g in auts["z13"].generators))
+    assert sf.group_order(conjugated) == 52 and groups.is_transitive(conjugated)
+    assert sf.sigma_alpha(z13, 0, group=conjugated) is not None
+    assert sf.frobenius_witness(z13, group=conjugated) is None
+
+
+def test_certificate_needs_a_transitive_group(z13, auts):
+    sigma = sf.sigma_alpha(z13, 0, group=auts["z13"])
+    assert groups._certified(z13, auts["z13"]) is not None
+    assert groups._certified(z13, sf.PermGroup(13, (sigma,))) is None
+
+
+def test_no_witness_outside_four_equivalenced():
+    # K_{2,2,2} has valencies 1 and 4.  Its Aut (order 48) holds a rotation at
+    # 0 and Sym(4), transitive, color-preserving and of order 24 = 4n; but the
+    # rotation's square fixes the point opposite 0
+    color = [[0 if x == y else 1 if (x - y) % 3 == 0 else 2 for y in range(6)] for x in range(6)]
+    scheme = sf.from_matrix(np.array(color))
+    aut = sf.automorphism_group(scheme)
+    assert sf.group_order(aut) == 48
+    assert sf.sigma_alpha(scheme, 0, group=aut) is not None
+    assert sf.frobenius_witness(scheme, group=aut) is None
 
 
 # sha256 of `frobenius --json` on each battery scheme, recorded from the

@@ -8,7 +8,7 @@ import pytest
 
 import scheme_forge as sf
 from scheme_forge import fission, groups
-from scheme_forge.cli import run
+from scheme_forge.cli import build_report, run
 
 ORBIT_BATTERY = ("z13", "z17", "z29", "v25")
 PER_POINT_CHECKS = ("sigma-alpha", "fission-semiregularity", "fission-fiber-rows")
@@ -54,7 +54,7 @@ def test_orbit_report_matches_every_point(battery, c53, name):
         cc = sf.point_fission(scheme, (alpha,))
         assert sf.is_semiregular_off(cc, alpha), (name, alpha)
         assert sf.fibers_refine_rows(scheme, cc, alpha), (name, alpha)
-    checks = {c.name: c for c in sf.build_report(scheme, name).checks}
+    checks = {c.name: c for c in build_report(scheme, name).checks}
     expected = ["pass", "pass", "pass"] if has_rotation else [sf.cli.NA, "pass", "pass"]
     assert [checks[c].status for c in PER_POINT_CHECKS] == expected
     for check in PER_POINT_CHECKS[1:]:
@@ -62,7 +62,7 @@ def test_orbit_report_matches_every_point(battery, c53, name):
 
 
 def test_report_builds_one_fission_per_orbit(z13, built):
-    report = sf.build_report(z13, "z13")
+    report = build_report(z13, "z13")
     assert set(_statuses(report).values()) <= {"pass", sf.cli.NA}
     # point 0 for the sweeps and for size 1 of the base search, then one pair
     assert built == [(0,), (0, 1)]
@@ -127,7 +127,7 @@ def _invariants(scheme, name):
     except sf.CutoffExceeded:
         base = None
     order = groups.group_order(sf.automorphism_group(scheme))
-    return order, len(pp.s2), len(pp.s3), base, _statuses(sf.build_report(scheme, name))
+    return order, len(pp.s2), len(pp.s3), base, _statuses(build_report(scheme, name))
 
 
 @pytest.mark.parametrize("name", ("z5",) + ORBIT_BATTERY)
