@@ -239,9 +239,9 @@ def vector_frobenius(p: int, d: int) -> PermGroup:
     """
     if d < 1:
         raise ValueError("dimension must be positive")
-    # |p| >= 2 passes MAX_DEGREE by the exponent MAX_DEGREE.bit_length(), so the capped
+    # p >= 2 passes MAX_DEGREE by the exponent MAX_DEGREE.bit_length(), so the capped
     # power decides without computing a huge p**d, and before the trial division
-    if abs(p) > 1 and abs(p) ** min(d, MAX_DEGREE.bit_length()) > MAX_DEGREE:
+    if p > 1 and p ** min(d, MAX_DEGREE.bit_length()) > MAX_DEGREE:
         raise DegreeTooLarge("%d**%d points exceed limit %d" % (p, d, MAX_DEGREE))
     if not _is_prime(p) or p % 4 != 1:
         raise BadPrime("need a prime congruent to 1 mod 4, got %d" % p)
@@ -399,10 +399,13 @@ def frobenius_witness(scheme: Scheme, group: PermGroup | None = None,
     fixed-point-free elements, so the kernel has order n.  (With a row of
     fewer than 4 points, sigma**2 fixes two points: there is no witness.)
 
-    When |Aut| = 4n, Aut is the only candidate.  Otherwise the kernel route
-    extends the fixed-point-free automorphisms and the identity, if they
-    close into a subgroup, by a rotation; then the pair route closes one
-    rotation with one fixed-point-free element.
+    A group of 4n elements is the only candidate, certified as given, with
+    its own generators.  Otherwise the first candidate of 4n elements that
+    the lemma certifies is the witness, with the greedy generators of its
+    elements: first the kernel (the fixed-point-free elements and the
+    identity, if a subgroup) extended by a rotation, which a group moving
+    colors may need (AGL(1, 25) on v25); then one rotation closed with one
+    fixed-point-free element (z5, F_9).
     """
     n = scheme.n
     if group is None:

@@ -89,6 +89,10 @@ def test_vector_frobenius_degree_cap():
             sf.vector_frobenius(p, d)
     with pytest.raises(groups.DegreeTooLarge):
         sf.cyclotomic_frobenius(30013)
+    # a non-positive p is never a prime, whatever the size of p**d
+    for p, d in ((-50, 2), (0, 5), (-3, 10**4)):
+        with pytest.raises(groups.BadPrime):
+            sf.vector_frobenius(p, d)
 
 
 def test_orbital_scheme_needs_transitive():
@@ -328,26 +332,38 @@ def test_witness_needs_a_rotation():
     assert sf.frobenius_witness(scheme, group=grid) is None
 
 
-def test_witness_by_the_kernel_route(z17, monkeypatch):
-    # Z_17 extended by x -> 2x, of order 8, is Frobenius of order 136: its
-    # fixed-point-free elements close into Z_17, and the first rotation (x -> 4x)
-    # extends that kernel to the witness of 68 elements
-    translation = tuple((x + 1) % 17 for x in range(17))
-    group = sf.PermGroup(17, (translation, tuple(2 * x % 17 for x in range(17))))
-    assert sf.group_order(group) == 136
-    limits = []
-    closure = groups._closure
-
-    def spy(gens, n, limit):
-        limits.append(limit)
-        return closure(gens, n, limit)
-
-    monkeypatch.setattr(groups, "_closure", spy)
-    cert = sf.frobenius_witness(z17, group=group)
-    assert [limit for limit in limits if limit is not None] == [17, 68]
-    assert (cert.kernel_size, cert.stabilizer_order, cert.orbital_match) == (17, 4, True)
+def test_witness_by_the_kernel_route(v25):
+    # AGL(1, 25) on F_25 = F_5[t], t^2 = 2, with point a + 5b for a + bt, is
+    # Frobenius of order 600 with kernel Z_5^2, and moves the colors of v25.
+    # Its rotations at 0 are scalars, so a rotation and one translation close
+    # to 20 elements only: the kernel extended by the first rotation is the
+    # witness
+    pts = [(a, b) for b in range(5) for a in range(5)]
+    index = lambda a, b: a % 5 + 5 * (b % 5)
+    times_2_plus_t = tuple(index(2 * a + 2 * b, a + 2 * b) for a, b in pts)
+    group = sf.PermGroup(25, (tuple(index(a + 1, b) for a, b in pts),
+                              tuple(index(a, b + 1) for a, b in pts), times_2_plus_t))
+    assert sf.group_order(group) == 600
+    cert = sf.frobenius_witness(v25, group=group)
+    assert (cert.kernel_size, cert.stabilizer_order, cert.orbital_match) == (25, 4, True)
+    elements = groups.enumerate_elements(cert.group)
+    assert oracles.frobenius_by_definition(set(elements), 25)
+    assert all(oracles.is_automorphism(v25.color, g) for g in elements)
     assert cert.group.generators == (
-        tuple(4 * x % 17 for x in range(17)), tuple((1 - x) % 17 for x in range(17)))
+        (0, 2, 4, 1, 3, 10, 12, 14, 11, 13, 20, 22, 24, 21, 23, 5, 7, 9, 6, 8, 15, 17, 19, 16, 18),
+        (1, 0, 4, 3, 2, 21, 20, 24, 23, 22, 16, 15, 19, 18, 17, 11, 10, 14, 13, 12, 6, 5, 9, 8, 7),
+        tuple(range(5, 25)) + tuple(range(5)))
+
+
+def test_witness_of_order_4n_keeps_the_given_generators(z13):
+    # the constructor's generators (x + 1, x -> 5x) are not the greedy ones of
+    # the sorted elements (x -> 5x, x -> 1 - x); a group of 4n elements is
+    # certified as given
+    group = sf.cyclotomic_frobenius(13)
+    cert = sf.frobenius_witness(z13, group=group)
+    assert cert.group is group
+    assert cert.group.generators == (
+        tuple((x + 1) % 13 for x in range(13)), tuple(5 * x % 13 for x in range(13)))
 
 
 def test_witness_needs_colors_preserved(z13, auts):
