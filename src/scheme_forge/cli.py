@@ -622,22 +622,29 @@ def _cmd_base(args) -> int:
     return 0
 
 
+def _listed_generators(group, bound) -> tuple:
+    """The greedy generators of the sorted elements, which are the same
+    whatever search found the group."""
+    return tuple(groups._greedy_generators(groups.enumerate_elements(group, bound), group.degree))
+
+
 def _cmd_aut(args) -> int:
     scheme = scheme_core.load_asc(args.file)
     group = groups.automorphism_group(scheme, args.bound)
     order = groups.group_order(group)
+    gens = _listed_generators(group, args.bound)
     if args.out:
-        groups.save_perm(group, args.out)
+        groups.save_perm(groups.PermGroup(scheme.n, gens), args.out)
     if args.json:
         _emit_json(
             {
                 "order": order,
-                "generators": [list(g) for g in group.generators],
+                "generators": [list(g) for g in gens],
             }
         )
     else:
         print("order: %d" % order)
-        for g in group.generators:
+        for g in gens:
             print(" ".join(str(v) for v in g))
     return 0
 
@@ -659,19 +666,21 @@ def _cmd_frobenius(args) -> int:
         else:
             print("no Frobenius witness found")
         return 1
-    payload = {
-        "order": cert.kernel_size * cert.stabilizer_order,
-        "kernel_size": cert.kernel_size,
-        "stabilizer_order": cert.stabilizer_order,
-        "orbital_match": cert.orbital_match,
-        "generators": [list(g) for g in cert.group.generators],
-    }
+    order = cert.kernel_size * cert.stabilizer_order
     if args.json:
-        _emit_json(payload)
+        _emit_json(
+            {
+                "order": order,
+                "kernel_size": cert.kernel_size,
+                "stabilizer_order": cert.stabilizer_order,
+                "orbital_match": cert.orbital_match,
+                "generators": [list(g) for g in _listed_generators(cert.group, args.bound)],
+            }
+        )
     else:
         print(
             "witness order %d = %d x %d, orbitals match: %s"
-            % (payload["order"], cert.kernel_size, cert.stabilizer_order, cert.orbital_match)
+            % (order, cert.kernel_size, cert.stabilizer_order, cert.orbital_match)
         )
     return 0
 

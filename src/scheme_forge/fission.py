@@ -44,11 +44,12 @@ from .scheme_core import (
     SchemeForgeError,
     _check_constancy,
     _first_occurrence_rank,
+    _first_pairs,
     _path_code_blocks,
     _scan_dual,
     canonical_relabel,
 )
-from .groups import PermGroup, enumerate_elements, identity_perm
+from .groups import PermGroup, orbits, stabilizer
 from .products import phi_psi
 
 DEFAULT_CUTOFF = 3
@@ -115,7 +116,7 @@ def _modulus(n: int) -> int:
 def _unstable_pairs(color: np.ndarray, num: int) -> np.ndarray:
     """n x n mask of the pairs whose path codes differ from their color's first pair."""
     unstable = np.empty(color.shape, dtype=bool)
-    for lo, codes, expected in _path_code_blocks(color, num):
+    for lo, codes, expected in _path_code_blocks(color, num, _first_pairs(color)):
         unstable[lo:lo + len(codes)] = (codes != expected).any(axis=2)
     return unstable
 
@@ -233,21 +234,21 @@ def describe_fission(scheme: Scheme, points) -> FissionReport:
     return FissionReport(delta, cc.num_colors, len(cc.fibers), failed, cc.is_complete, cc.fibers)
 
 
-def _orbit_least_sets(n: int, size: int, stabilizer, prefix: tuple[int, ...] = ()):
+def _orbit_least_sets(n: int, size: int, fixers, prefix: tuple[int, ...] = ()):
     """Sorted point sets of one size that extend prefix, in lexicographic
     order, least ones per orbit.
 
     A set x1 < ... < xk is produced when each x(j+1) is the least point
     of its orbit under the elements that fix x1..xj.  The least set of
-    every orbit of the group on k-sets has this form.  stabilizer holds
-    the elements that fix every point of prefix.
+    every orbit of the group on k-sets has this form.  fixers holds the
+    elements that fix every point of prefix.
     """
     if len(prefix) == size:
         yield prefix
         return
     for y in range(prefix[-1] + 1 if prefix else 0, n):
-        if all(g[y] >= y for g in stabilizer):
-            yield from _orbit_least_sets(n, size, [g for g in stabilizer if g[y] == y],
+        if all(g[y] >= y for g in fixers):
+            yield from _orbit_least_sets(n, size, [g for g in fixers if g[y] == y],
                                          prefix + (y,))
 
 
@@ -267,10 +268,15 @@ def find_base(scheme: Scheme, cutoff: int = DEFAULT_CUTOFF, group: PermGroup | N
     """
     if scheme.n == 1:
         return 0, ()
-    elements = enumerate_elements(group) if group is not None else (identity_perm(scheme.n),)
+    if group is None:
+        group = PermGroup(scheme.n, ())
     known = fissions or {}
     for size in range(1, cutoff + 1):
-        candidates = _orbit_least_sets(scheme.n, size, elements)
+        # the least point of each orbit, then the sets that extend it under
+        # its point stabiliser
+        candidates = (delta for orbit in orbits(group)
+                      for delta in _orbit_least_sets(
+                          scheme.n, size, stabilizer(group, orbit[:1]), orbit[:1]))
         if size == 2:
             try:
                 doubled = phi_psi(scheme).s2

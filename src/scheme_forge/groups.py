@@ -1,13 +1,21 @@
 """Permutation groups: scheme constructors, automorphisms, Frobenius witnesses.
 
 Permutations are tuples of images on 0..n-1.  compose(p, q) applies p
-first, then q.  Groups carry generators; element lists are enumerated by
-breadth-first closure on demand and cached.
+first, then q.  Groups carry generators, and automorphism groups also a
+stabiliser chain.  Element lists are enumerated on demand, from the chain's
+transversals or by breadth-first closure, and cached.
 
-Automorphism groups come from a base-driven search (Sims 1970; McKay and
-Piperno 2014): once the images of a resolving base are chosen, every other
-point's image is forced, so only base images are enumerated, and each
-forced map is checked on all n x n pairs.
+Automorphism groups come from a stabiliser-chain search over a resolving
+base (Sims 1970; McKay and Piperno 2014): once the images of the base are
+chosen, every other point's image is forced.  Levels are filled from the
+deepest up.  At level i, each image y of base[i] that the colors allow and
+that the generators found so far do not already reach gets one depth-first
+search for a single automorphism fixing base[:i] and sending base[i] to y,
+checked on all n x n pairs; it joins the strong generators.  Every other
+automorphism is a product of these checked ones, so it preserves colors by
+closure, and a skipped y lies in an orbit the known subgroup reaches, so
+the chain is exact: |Aut| is the product of the level orbit lengths, and
+the point stabiliser of base[0] is the product of the lower levels.
 
 Frobenius witnesses are certified by the paper's argument, not re-derived:
 in a 4-equivalenced scheme, a transitive group of 4n automorphisms holding
@@ -110,11 +118,28 @@ def cycles_of(p: Perm, skip=()) -> set[frozenset[int]]:
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class Chain:
+    """Stabiliser chain of the automorphism group of scheme over base.
+
+    transversals[i] has one row per point y of the orbit of base[i] under
+    the automorphisms fixing base[:i]: one of them sending base[i] to y,
+    the identity first.
+    """
+
+    scheme: Scheme
+    base: tuple[int, ...]
+    transversals: tuple[np.ndarray, ...]
+
+
 @dataclass(eq=False)
 class PermGroup:
+    """Generators, and for an automorphism group its stabiliser chain."""
+
     degree: int
     generators: tuple[Perm, ...]
     _elements: tuple[Perm, ...] | None = field(default=None, repr=False)
+    chain: Chain | None = field(default=None, repr=False)
 
 
 def _closure(gens, n: int, limit: int | None):
@@ -137,8 +162,28 @@ def _closure(gens, n: int, limit: int | None):
     return elems
 
 
+def _expand(transversals, n: int) -> np.ndarray:
+    """Every product of one row per level, the deepest applied first, as rows:
+    the elements fixing the base points above the given levels."""
+    elems = np.arange(n)[None, :]
+    for rows in reversed(transversals):
+        # rows[:, h] composes h, which fixes this level's base point, with
+        # each row, which moves it
+        elems = rows[:, elems].reshape(-1, n)
+    return elems
+
+
+def _sorted_perms(rows: np.ndarray) -> tuple[Perm, ...]:
+    return tuple(sorted(map(tuple, rows.tolist())))
+
+
 def enumerate_elements(group: PermGroup, bound: int = DEFAULT_BOUND) -> tuple[Perm, ...]:
     """All elements, sorted; BoundExceeded if the group is larger than bound."""
+    if group._elements is None and group.chain is not None:
+        order = group_order(group)
+        if order > bound:
+            raise BoundExceeded("group has %d elements" % order)
+        group._elements = _sorted_perms(_expand(group.chain.transversals, group.degree))
     if group._elements is not None:
         if len(group._elements) > bound:
             raise BoundExceeded("group has %d elements" % len(group._elements))
@@ -154,7 +199,28 @@ def enumerate_elements(group: PermGroup, bound: int = DEFAULT_BOUND) -> tuple[Pe
 
 
 def group_order(group: PermGroup, bound: int = DEFAULT_BOUND) -> int:
+    """The product of the transversal sizes for a chain, else the listed count."""
+    if group.chain is not None:
+        return math.prod(len(rows) for rows in group.chain.transversals)
     return len(enumerate_elements(group, bound))
+
+
+def stabilizer(group: PermGroup, points, bound: int = DEFAULT_BOUND) -> tuple[Perm, ...]:
+    """The elements fixing every one of points, sorted.
+
+    An automorphism group reads them off the levels below points of a
+    chain whose base starts with points: its own when it does, else one
+    from a new search with points as the first base points.  Other groups
+    filter their elements.
+    """
+    points = tuple(points)
+    chain = group.chain
+    if chain is None:
+        return tuple(g for g in enumerate_elements(group, bound)
+                     if all(g[p] == p for p in points))
+    if chain.base[:len(points)] != points:
+        chain = _search(chain.scheme, points, group_order(group))[0]
+    return _sorted_perms(_expand(chain.transversals[len(points):], group.degree))
 
 
 def orbits(group: PermGroup) -> tuple[tuple[int, ...], ...]:
@@ -269,49 +335,110 @@ def frobenius_check(group: PermGroup, bound: int = DEFAULT_BOUND) -> bool:
 
 
 def automorphism_group(scheme: Scheme, bound: int = DEFAULT_BOUND) -> PermGroup:
-    """All color-preserving permutations, by a base-driven search.
-
-    Since color(g(b), g(x)) = color(b, x), x goes to the point whose colors
-    from the base images equal its own colors from the base.
+    """All color-preserving permutations, as a stabiliser chain with its
+    strong generators (see the module docstring).  BoundExceeded as soon as
+    the levels filled so far hold more than bound automorphisms.
     """
+    chain, gens = _search(scheme, (), bound)
+    return PermGroup(scheme.n, gens, chain=chain)
+
+
+def _search(scheme: Scheme, prefix, bound) -> tuple[Chain, tuple[Perm, ...]]:
+    """The chain of Aut over a resolving base that starts with prefix, and
+    its strong generators."""
     color = scheme.color
-    base = _resolving_base(color, scheme.r)
+    base = _resolving_base(color, scheme.r, prefix)
     key_order = np.lexsort(color[base, :][::-1])
     sorted_keys = color[base, :][:, key_order]
-    elements: list[Perm] = []
-    stack: list[list[int]] = [[]]  # partial base images, depth first
-    while stack:
-        images = stack.pop()
-        i = len(images)
-        if i == len(base):
-            found = color[images, :]
-            order = np.lexsort(found[::-1])
-            if not np.array_equal(found[:, order], sorted_keys):
+    gens: list[list[int]] = []
+    transversals: list[np.ndarray] = []
+    below = 1  # order of the stabiliser of base[:i + 1], then of base[:i]
+    for i in reversed(range(len(base))):
+        fixed = base[:i]
+        orbit = _orbit(base[i], gens)
+        for y in _candidates(color, base, fixed):
+            if y in orbit:
                 continue
-            img = np.empty(scheme.n, dtype=np.int64)
-            img[key_order] = order
-            if not np.array_equal(color[np.ix_(img, img)], color):
-                continue
-            if len(elements) >= bound:
-                raise BoundExceeded("more than %d automorphisms" % bound)
-            elements.append(tuple(img.tolist()))
-            continue
-        mask = np.ones(scheme.n, dtype=bool)
-        for b, c in zip(base, images):
-            mask &= color[c, :] == color[b, base[i]]
-        stack.extend(images + [int(y)] for y in np.nonzero(mask)[0])
-    elements.sort()
-    gens = _greedy_generators(elements, scheme.n)
-    return PermGroup(scheme.n, tuple(gens), _elements=tuple(elements))
+            g = _first_automorphism(color, base, fixed + [y], key_order, sorted_keys)
+            if g is not None:
+                gens.append(g)
+                orbit = _orbit(base[i], gens)
+        below *= len(orbit)
+        if below > bound:
+            raise BoundExceeded("more than %d automorphisms" % bound)
+        transversals.append(_transversal(base[i], orbit, gens, scheme.n))
+    chain = Chain(scheme, tuple(base), tuple(reversed(transversals)))
+    return chain, tuple(map(tuple, gens))
 
 
-def _resolving_base(color: np.ndarray, r: int) -> list[int]:
-    """Points whose color rows give every point a distinct code, chosen greedily:
-    each step adds the least point that splits the codes into the most classes.
-    A point always splits off itself, as color 0 is the diagonal, so this ends.
+def _candidates(color: np.ndarray, base, images) -> list[int]:
+    """The points whose colors from images match those of base[len(images)]
+    from base[:len(images)]: the images that base point may take."""
+    target = base[len(images)]
+    mask = np.ones(len(color), dtype=bool)
+    for b, c in zip(base, images):
+        mask &= color[c, :] == color[b, target]
+    return np.nonzero(mask)[0].tolist()
+
+
+def _first_automorphism(color, base, images, key_order, sorted_keys) -> list[int] | None:
+    """The first automorphism, depth first, sending base[:len(images)] to images.
+
+    Since color(g(b), g(x)) = color(b, x), x goes to the point whose colors
+    from the base images equal its own colors from the base; the forced map
+    is checked on all n x n pairs.
     """
-    base: list[int] = []
+    stack = [images]
+    while stack:
+        partial = stack.pop()
+        if len(partial) < len(base):
+            stack.extend(partial + [y] for y in reversed(_candidates(color, base, partial)))
+            continue
+        found = color[partial, :]
+        order = np.lexsort(found[::-1])
+        if not np.array_equal(found[:, order], sorted_keys):
+            continue
+        img = np.empty(len(color), dtype=np.intp)
+        img[key_order] = order
+        if np.array_equal(color[np.ix_(img, img)], color):
+            return img.tolist()
+    return None
+
+
+def _orbit(point: int, gens) -> dict[int, None]:
+    """The orbit of point under gens, in the order it is reached."""
+    orbit = {point: None}
+    reached = [point]
+    for x in reached:  # grows while it is read
+        for g in gens:
+            if g[x] not in orbit:
+                orbit[g[x]] = None
+                reached.append(g[x])
+    return orbit
+
+
+def _transversal(point: int, orbit, gens, n: int) -> np.ndarray:
+    """One row per orbit point y, in orbit order: a product of gens sending
+    point to y, the identity first."""
+    arrays = [np.asarray(g) for g in gens]
+    rows = {point: np.arange(n)}
+    for x in orbit:
+        for g, a in zip(gens, arrays):
+            if g[x] not in rows:
+                rows[g[x]] = a[rows[x]]  # apply rows[x], then g
+    return np.stack([rows[y] for y in orbit])
+
+
+def _resolving_base(color: np.ndarray, r: int, prefix=()) -> list[int]:
+    """Points whose color rows give every point a distinct code: prefix, then
+    points chosen greedily, each the least that splits the codes into the
+    most classes.  A point always splits off itself, as color 0 is the
+    diagonal, so this ends.
+    """
+    base = list(prefix)
     cells = np.zeros(len(color), dtype=np.int64)
+    for p in base:
+        cells = np.unique(cells * r + color[p], return_inverse=True)[1]
     while not base or cells.max() + 1 < len(color):
         trial = cells[None, :] * r + color  # row p: the codes if p joins
         ranked = np.sort(trial, axis=1)
@@ -336,35 +463,37 @@ def _greedy_generators(elements, n: int) -> list[Perm]:
     return gens
 
 
-def _rotations(scheme: Scheme, elements, alpha: int):
-    """Elements of order 4 fixing alpha whose orbits off alpha are its rows."""
+def _rotations(scheme: Scheme, group: PermGroup, alpha: int, bound: int = DEFAULT_BOUND):
+    """Elements of G_alpha, sorted, of order 4 whose orbits off alpha are its rows."""
     rows = {frozenset(int(y) for y in scheme.row(alpha, s)) for s in scheme.nondiagonal()}
-    return (g for g in elements if g[alpha] == alpha and perm_order(g) == 4
-            and cycles_of(g, skip=(alpha,)) == rows)
+    return (g for g in stabilizer(group, (alpha,), bound)
+            if perm_order(g) == 4 and cycles_of(g, skip=(alpha,)) == rows)
 
 
 def sigma_alpha(scheme: Scheme, alpha: int, group: PermGroup | None = None,
                 bound: int = DEFAULT_BOUND) -> Perm | None:
     """Order-4 automorphism fixing alpha whose orbits off alpha are its rows.
 
-    Scans the enumerated automorphisms in sorted order, so the result is
+    Scans the point stabiliser of alpha in sorted order, so the result is
     deterministic.  None when no such automorphism exists.
     """
     if group is None:
         group = automorphism_group(scheme, bound)
-    return next(_rotations(scheme, enumerate_elements(group, bound), alpha), None)
+    return next(_rotations(scheme, group, alpha, bound), None)
 
 
 def two_point_rigidity(scheme: Scheme, group: PermGroup | None = None,
                        bound: int = DEFAULT_BOUND) -> bool:
-    """Only the identity automorphism fixes two or more points."""
+    """Only the identity automorphism fixes two or more points.
+
+    An element fixing two points is conjugate to one in G_alpha, for alpha
+    the least point of either one's orbit, so those stabilisers suffice.
+    """
     if group is None:
         group = automorphism_group(scheme, bound)
     ident = identity_perm(scheme.n)
-    for g in enumerate_elements(group, bound):
-        if g != ident and len(fixed_points(g)) >= 2:
-            return False
-    return True
+    return not any(g != ident and len(fixed_points(g)) >= 2
+                   for orbit in orbits(group) for g in stabilizer(group, orbit[:1], bound))
 
 
 @dataclass(frozen=True)
@@ -410,13 +539,13 @@ def frobenius_witness(scheme: Scheme, group: PermGroup | None = None,
     n = scheme.n
     if group is None:
         group = automorphism_group(scheme, bound)
-    elems = enumerate_elements(group, bound)
-    rotations = list(_rotations(scheme, elems, 0))
+    rotations = list(_rotations(scheme, group, 0, bound))
     if is_k_equivalenced(scheme) != 4 or not rotations:
         return None
-    if len(elems) == 4 * n:
+    if group_order(group, bound) == 4 * n:
         return _certified(scheme, group)
 
+    elems = enumerate_elements(group, bound)
     ident = identity_perm(n)
     fpf = [g for g in elems if g != ident and not fixed_points(g)]
     candidates = []

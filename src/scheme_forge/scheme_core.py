@@ -121,7 +121,7 @@ def _first_pairs(color: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(first, color.shape[0])
 
 
-def _path_code_blocks(color: np.ndarray, r: int):
+def _path_code_blocks(color: np.ndarray, r: int, firsts):
     """Yield (lo, codes, expected) for blocks of consecutive rows x.
 
     The path codes of a pair (x,y) are color(x,z) * r + color(z,y) over
@@ -129,15 +129,15 @@ def _path_code_blocks(color: np.ndarray, r: int):
     codes[i, y] holds the sorted codes of the pair (lo + i, y), and
     expected[i, y] those of the first pair of color(lo + i, y) in
     row-major order, built for the block's colors only, so that no table
-    over all r colors is held.  A block holds at most _BLOCK_BYTES of
-    codes.  Every color 0..r-1 must occur.
+    over all r colors is held.  firsts holds those first pairs (see
+    _first_pairs).  A block holds at most _BLOCK_BYTES of codes.
     """
     n = color.shape[0]
     # at least 16 bits: numpy sorts 8-bit keys without its vectorised sort
     dtype = np.promote_types(np.min_scalar_type(r * r - 1), np.uint16)
     scaled = (color * r).astype(dtype)
     transposed = color.T.astype(dtype, order="C")
-    xs, ys = _first_pairs(color)
+    xs, ys = firsts
     rows = max(1, _BLOCK_BYTES // (n * n * dtype.itemsize))
     for lo in range(0, n, rows):
         block = color[lo:lo + rows]
@@ -149,16 +149,18 @@ def _path_code_blocks(color: np.ndarray, r: int):
         yield lo, codes, reference[inverse.reshape(block.shape)]
 
 
-def _check_constancy(color: np.ndarray, r: int) -> None:
-    """Check that every c(s,t,u) is constant over the pairs of color u.
+def _check_constancy(color: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Check that every c(s,t,u) is constant over the pairs of color u, and
+    return the first pair of each color (see _first_pairs).
 
     The sorted path codes of every pair must equal those of its color's
     first pair (see _path_code_blocks).  On failure the error names the
     least code s*r + t, then the least pair in row-major order, whose
     count differs from that of its color's first pair.
     """
+    firsts = _first_pairs(color)
     witness = None
-    for lo, codes, expected in _path_code_blocks(color, r):
+    for lo, codes, expected in _path_code_blocks(color, r, firsts):
         differ = codes != expected
         bx, by = np.nonzero(differ.any(axis=2))
         if len(bx) == 0:
@@ -180,6 +182,7 @@ def _check_constancy(color: np.ndarray, r: int) -> None:
             int(np.count_nonzero(color[xu] * r + color[:, yu] == code)),
             int(np.count_nonzero(color[x] * r + color[:, y] == code)),
         )
+    return firsts
 
 
 def validate(n: int, r: int, color, dual) -> Scheme:
@@ -228,9 +231,9 @@ def validate(n: int, r: int, color, dual) -> Scheme:
         s = int(np.nonzero(counts == 0)[0][0])
         raise ValueError("color %d never occurs" % s)
 
-    _check_constancy(mat, r)
+    firsts = _check_constancy(mat, r)
     c = np.empty((r, r, r), dtype=np.int64)
-    for u, (x, y) in enumerate(zip(*_first_pairs(mat))):
+    for u, (x, y) in enumerate(zip(*firsts)):
         c[:, :, u] = np.bincount(mat[x] * r + mat[:, y], minlength=r * r).reshape(r, r)
     valencies = c[np.arange(r), dual_arr, 0].copy()
     for arr in (mat, dual_arr, c, valencies):

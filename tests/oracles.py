@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 import scheme_forge as sf
-from scheme_forge import DualViolation, NonConstantIntersection
+from scheme_forge import DualViolation, NonConstantIntersection, groups
 
 
 def adjacency_matrices(scheme):
@@ -191,6 +191,41 @@ def aut_by_anchors(scheme):
 
             place(0)
     return sorted(set(found))
+
+
+def aut_by_base_images(scheme, bound=None):
+    """Every automorphism, sorted, by forcing each consistent image of a
+    resolving base and checking the forced map on all n x n pairs.
+
+    BoundExceeded with the library's message once more than bound are found.
+    """
+    color = scheme.color
+    base = groups._resolving_base(color, scheme.r)
+    key_order = np.lexsort(color[base, :][::-1])
+    sorted_keys = color[base, :][:, key_order]
+    elements = []
+    stack = [[]]  # partial base images, depth first
+    while stack:
+        images = stack.pop()
+        i = len(images)
+        if i == len(base):
+            found = color[images, :]
+            order = np.lexsort(found[::-1])
+            if not np.array_equal(found[:, order], sorted_keys):
+                continue
+            img = np.empty(scheme.n, dtype=np.int64)
+            img[key_order] = order
+            if not is_automorphism(color, img):
+                continue
+            if bound is not None and len(elements) >= bound:
+                raise sf.BoundExceeded("more than %d automorphisms" % bound)
+            elements.append(tuple(img.tolist()))
+            continue
+        mask = np.ones(scheme.n, dtype=bool)
+        for b, c in zip(base, images):
+            mask &= color[c, :] == color[b, base[i]]
+        stack.extend(images + [int(y)] for y in np.nonzero(mask)[0])
+    return sorted(elements)
 
 
 def wl_by_sorted_paths(matrix):

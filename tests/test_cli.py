@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -154,6 +155,24 @@ def test_aut_command(z13_file, tmp_path, capsys):
     assert payload["order"] == 52
     group = sf.load_perm(str(out))
     assert sf.group_order(group) == 52
+
+
+def test_aut_past_the_bound_exits_1_before_listing(tmp_path, capsys, monkeypatch):
+    # the complete graph on 10 points: Aut = Sym(10), 3,628,800 elements; the
+    # chain knows the order is past the bound before any element is listed
+    color = np.ones((10, 10), dtype=np.int64)
+    np.fill_diagonal(color, 0)
+    path = tmp_path / "k10.asc"
+    sf.save_asc(sf.from_matrix(color), str(path))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("elements listed")
+
+    monkeypatch.setattr(groups, "enumerate_elements", refuse)
+    assert run(["aut", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "BoundExceeded: more than %d automorphisms\n" % groups.DEFAULT_BOUND
 
 
 def test_frobenius_on_scheme(z13_file, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 import scheme_forge as sf
 from scheme_forge import groups
-from scheme_forge.cli import run
+from scheme_forge.cli import build_report, run
 
 import oracles
 
@@ -195,6 +195,71 @@ def test_relabelled_v25_has_the_conjugate_group(v25, auts):
         conjugated.add(tuple(h))
     assert len(found) == 100
     assert found == conjugated
+
+
+# |Aut| of each instance the chain search is checked on: z5 is Sym(5), with
+# a 4-point base; F_9 has 72; the Shrikhande and 4x4 rook's graphs 192 and 1152
+CHAIN_ORDERS = {"z5": 120, "z13": 52, "z17": 68, "z29": 116, "v25": 100, "c53": 212,
+                "c101": 404, "v125": 500, "f9": 72, "shrikhande": 192, "rook": 1152}
+
+
+def _chain_scheme(request, name):
+    if name == "f9":
+        return sf.orbital_scheme(_f9_frobenius())
+    if name == "shrikhande":
+        return _cayley_scheme_z4z4({(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)})
+    if name == "rook":
+        return _cayley_scheme_z4z4({(1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3)})
+    return request.getfixturevalue(name)
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_ORDERS))
+def test_chain_matches_the_per_element_search(request, name):
+    scheme = _chain_scheme(request, name)
+    order = CHAIN_ORDERS[name]
+    listed = oracles.aut_by_base_images(scheme)
+    aut = sf.automorphism_group(scheme, bound=order)
+    assert sf.group_order(aut) == len(listed) == order
+    assert list(groups.enumerate_elements(aut)) == listed
+    # point stabilisers, read off the chain at its first base point and
+    # searched again elsewhere, and one prefix stabiliser of two points
+    for points in [(alpha,) for alpha in sorted({0, scheme.n // 2, scheme.n - 1})] + [
+            (scheme.n - 1, 1)]:
+        fixing = [g for g in listed if all(g[p] == p for p in points)]
+        assert list(groups.stabilizer(aut, points)) == fixing, points
+    with pytest.raises(sf.BoundExceeded, match="^more than %d automorphisms$" % (order - 1)):
+        sf.automorphism_group(scheme, bound=order - 1)
+    with pytest.raises(sf.BoundExceeded):
+        oracles.aut_by_base_images(scheme, bound=order - 1)
+
+
+@pytest.mark.parametrize("name", ("c53", "v125"))
+def test_report_lists_no_automorphisms(request, name, monkeypatch):
+    # the report reads |Aut|, the orbits and G_0 off the chain: it lists no
+    # element of Aut, and closes and composes nothing
+    scheme = request.getfixturevalue(name)
+    found = []
+    search, listing = groups.automorphism_group, groups.enumerate_elements
+
+    def recording(*args, **kwargs):
+        found.append(search(*args, **kwargs))
+        return found[-1]
+
+    def guarded(group, *args, **kwargs):
+        assert all(group is not aut for aut in found), "Aut listed"
+        return listing(group, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(groups, "automorphism_group", recording)
+    monkeypatch.setattr(groups, "enumerate_elements", guarded)
+    for helper in ("_closure", "compose", "_greedy_generators"):
+        monkeypatch.setattr(groups, helper, refuse)
+    statuses = {c.name: c.status for c in build_report(scheme, name).checks}
+    assert len(found) == 1
+    assert set(statuses.values()) <= {"pass", sf.cli.NA}
+    assert statuses["frobenius-witness"] == statuses["two-point-rigidity"] == "pass"
 
 
 def test_two_point_rigidity(z13, z17, z29, v25, auts):
@@ -410,13 +475,36 @@ FROBENIUS_JSON_SHA256 = {
 }
 
 
-def test_frobenius_json_is_unchanged(battery, tmp_path, capsys):
+def _json_digests(command, battery, tmp_path, capsys):
+    """sha256 of `command FILE --json` on each battery scheme."""
+    digests = {}
     for name, scheme in battery.items():
         path = tmp_path / (name + ".asc")
         sf.save_asc(scheme, str(path))
-        assert run(["frobenius", str(path), "--json"]) == 0
-        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-        assert digest == FROBENIUS_JSON_SHA256[name], name
+        assert run([command, str(path), "--json"]) == 0
+        digests[name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    return digests
+
+
+def test_frobenius_json_is_unchanged(battery, tmp_path, capsys):
+    assert _json_digests("frobenius", battery, tmp_path, capsys) == FROBENIUS_JSON_SHA256
+
+
+# sha256 of `aut --json` on each battery scheme, recorded from the
+# per-element search that the chain search replaced: the printed generators
+# are the greedy ones of the sorted elements, whichever strong generators
+# the search found.
+AUT_JSON_SHA256 = {
+    "z5": "19bbaa8a1c3e8432f25d6bc11ecceeeb2a89e0155c5204ad67f1944d8bccaffe",
+    "z13": "360e1062640763503f143f1844316d42b4394e11a51475e667f5005bf13b88ba",
+    "z17": "b11707e9d20a3219d02da0a09da155667d90180a2a8c7014d751471aa036b980",
+    "z29": "b88e0f69a6a5a6d1b6a82f17b11b18291a1940a3cf052998037eba8fecc74632",
+    "v25": "b11d331c0e3c54ce66bb2a96dbd869b321632eaa47c8e863e2267481d87ba0c9",
+}
+
+
+def test_aut_json_is_unchanged(battery, tmp_path, capsys):
+    assert _json_digests("aut", battery, tmp_path, capsys) == AUT_JSON_SHA256
 
 
 # --- .perm format ---
