@@ -113,7 +113,7 @@ def _build_context(scheme: Scheme, source: str, bound: int, cutoff: int, radius:
             ctx["planes"] = _origin_planes(ctx)
         if scheme.r >= 3:
             for alpha in ctx["points"]:
-                ctx["fissions"][alpha] = fission.point_fission(scheme, (alpha,))
+                ctx["fissions"][alpha] = fission.point_fission(scheme, (alpha,), ctx["aut"])
     else:
         ctx["points"] = ()
     return ctx
@@ -329,7 +329,7 @@ def _check_base_number(ctx):
                 break
         if pair is None:
             return "fail", "no pair with a doubled-square color"
-        if not fission.point_fission(scheme, pair).is_complete:
+        if not fission.point_fission(scheme, pair, ctx["aut"]).is_complete:
             return "fail", "pair %s does not complete" % (pair,)
         semi = _check_semiregular(ctx)
         if semi[0] != "pass":
@@ -577,10 +577,19 @@ def _cmd_plane(args) -> int:
     return 0 if invariant else 1
 
 
+def _automorphisms(scheme: Scheme):
+    """Aut under the default bound, which stops fission rounds early; None
+    past it."""
+    try:
+        return groups.automorphism_group(scheme)
+    except groups.BoundExceeded:
+        return None
+
+
 def _cmd_fission(args) -> int:
     scheme = scheme_core.load_asc(args.file)
     points = _parse_points(args.points, scheme.n)
-    report = fission.describe_fission(scheme, points)
+    report = fission.describe_fission(scheme, points, _automorphisms(scheme))
     if args.json:
         _emit_json(
             {
@@ -608,7 +617,7 @@ def _cmd_fission(args) -> int:
 def _cmd_base(args) -> int:
     scheme = scheme_core.load_asc(args.file)
     try:
-        size, witness = fission.find_base(scheme, args.cutoff)
+        size, witness = fission.find_base(scheme, args.cutoff, group=_automorphisms(scheme))
     except fission.CutoffExceeded as err:
         if args.json:
             _emit_json({"cutoff": args.cutoff, "error": str(err)})

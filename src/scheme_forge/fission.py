@@ -20,16 +20,26 @@ pair by (old color, H1, H2).
 
 The output is exact, not probable.  The key holds the old color, so each
 round refines the last; pairs of one class of W have equal counts and so
-equal keys, so each round stays at least as coarse as W.  When the color
-count stops growing, an exact check compares the sorted path codes of every
-pair with those of its color's first pair, as scheme validation does (a
-coloring whose classes are single pairs passes it as it stands).  If all
-agree the coloring is stable, and a stable refinement of c that is at
-least as coarse as W is W.  Otherwise an evaluation collided, and each
-class splits by whether a pair's codes equal its first pair's: the pairs of
-one class of W have equal codes, so the split keeps the coloring coarser
-than W and gains a color whatever the draw.  Colors are numbered by first
-occurrence in row-major order, so the matrix does not depend on the seed.
+equal keys, so each round stays at least as coarse as W.
+
+Rounds stop when the color count reaches a bound: the number of orbits on
+pairs of a known group G of permutations preserving c (n**2 for the
+trivial group).  Every coloring on the way is G-invariant, since the
+counts are, so each class is a union of G-orbits and the count is at most
+the bound.  At the bound the coloring is the orbit partition of G, which
+is a coherent configuration and so stable; a stable refinement of c that
+is at least as coarse as W is W.  point_fission takes G as the pointwise
+stabiliser of the split points in the scheme's automorphism group.
+
+When the count stalls below the bound, an exact check compares the sorted
+path codes of every pair with those of its color's first pair, as scheme
+validation does.  If all agree the coloring is stable, and so is W.
+Otherwise an evaluation collided, and each class splits by whether a
+pair's codes equal its first pair's: the pairs of one class of W have
+equal codes, so the split keeps the coloring coarser than W (and
+G-invariant, as the codes are) and gains a color whatever the draw.
+Colors are numbered by first occurrence in row-major order, so the matrix
+does not depend on the seed or on where the rounds stop.
 """
 
 from __future__ import annotations
@@ -121,23 +131,32 @@ def _unstable_pairs(color: np.ndarray, num: int) -> np.ndarray:
     return unstable
 
 
-def wl_stabilize(matrix) -> CoherentConfiguration:
-    """Refine a transpose-paired color matrix to a coherent fixed point."""
+def wl_stabilize(matrix, bound: int | None = None) -> CoherentConfiguration:
+    """Refine a transpose-paired color matrix to a coherent fixed point.
+
+    bound is the number of orbits on pairs of a group of permutations that
+    preserve the matrix (n**2 when None, for the trivial group).  Rounds
+    stop as soon as the color count reaches it, since the G-invariant
+    coloring is then the orbit partition, which is stable; the exact check
+    runs only when the count stalls below it.
+    """
     color = canonical_relabel(np.asarray(matrix, dtype=np.int64))
     n = color.shape[0]
+    if bound is None:
+        bound = n * n
     num = int(color.max()) + 1
     p = _modulus(n)
     rng = np.random.default_rng(_SEED)
-    while True:
+    while num < bound:
         labels = color.ravel()
         for _ in range(2):
             left, right = rng.integers(0, p, size=(2, num)).astype(np.float64)
             # every partial sum is an integer below n * (p - 1)**2 < 2**53, so exact
             h = np.fmod(left[color] @ right[color], p).astype(np.int64)
             labels, new_num = _first_occurrence_rank(labels * p + h.ravel())
-        if new_num == num:
-            if num == n * n:  # classes of one pair each are stable
+            if new_num == bound:
                 break
+        if new_num == num:
             unstable = _unstable_pairs(color, num)
             if not unstable.any():
                 break
@@ -148,8 +167,29 @@ def wl_stabilize(matrix) -> CoherentConfiguration:
     return CoherentConfiguration(n, color, num, _fibers_of(color))
 
 
-def point_fission(scheme: Scheme, points) -> CoherentConfiguration:
-    """Smallest stable refinement in which every given point is its own fiber."""
+def _pair_orbit_count(scheme: Scheme, delta, group: PermGroup | None) -> int:
+    """Orbits on pairs of the automorphisms in group fixing every point of
+    delta, by Burnside: the sum of fix(g)**2 over |G_delta|.  n**2 unless
+    the group carries an automorphism chain of this scheme, whose elements
+    are checked products of checked automorphisms.
+    """
+    n = scheme.n
+    if group is None or group.chain is None or not np.array_equal(
+            group.chain.scheme.color, scheme.color):
+        return n * n
+    elems = np.array(stabilizer(group, delta[:1]), dtype=np.int64)
+    elems = elems[(elems[:, delta[1:]] == delta[1:]).all(axis=1)]
+    fixed = (elems == np.arange(n)).sum(axis=1)
+    return int((fixed * fixed).sum()) // len(elems)
+
+
+def point_fission(scheme: Scheme, points, group: PermGroup | None = None,
+                  ) -> CoherentConfiguration:
+    """Smallest stable refinement in which every given point is its own fiber.
+
+    Given the automorphism group, the rounds stop at the orbit count of
+    its pointwise stabiliser of the points (see the module docstring).
+    """
     delta = sorted(set(int(p) for p in points))
     if not delta:
         raise ValueError("need at least one point to individualize")
@@ -160,7 +200,7 @@ def point_fission(scheme: Scheme, points) -> CoherentConfiguration:
         marker[p] = rank
     m = np.int64(len(delta) + 1)
     seed = (scheme.color * m + marker[:, None]) * m + marker[None, :]
-    return wl_stabilize(seed)
+    return wl_stabilize(seed, _pair_orbit_count(scheme, delta, group))
 
 
 def validate_configuration(cc: CoherentConfiguration) -> None:
@@ -219,9 +259,9 @@ def fibers_refine_rows(scheme: Scheme, cc: CoherentConfiguration, alpha: int) ->
     return True
 
 
-def describe_fission(scheme: Scheme, points) -> FissionReport:
+def describe_fission(scheme: Scheme, points, group: PermGroup | None = None) -> FissionReport:
     delta = tuple(sorted(set(int(p) for p in points)))
-    cc = point_fission(scheme, delta)
+    cc = point_fission(scheme, delta, group)
     failed = None
     for alpha in delta:
         try:
@@ -263,8 +303,10 @@ def find_base(scheme: Scheme, cutoff: int = DEFAULT_CUTOFF, group: PermGroup | N
     automorphisms, a set is tried only when each point is the least of
     its orbit under the stabilizer of the points before it: the group
     carries complete sets to complete sets and doubled-square pairs to
-    doubled-square pairs, so the witness is the same as without it.
-    fissions maps points to one-point fissions that are already built.
+    doubled-square pairs, so the witness is the same as without it.  An
+    automorphism group also stops each fission's rounds early (see
+    point_fission).  fissions maps points to one-point fissions that are
+    already built.
     """
     if scheme.n == 1:
         return 0, ()
@@ -285,7 +327,7 @@ def find_base(scheme: Scheme, cutoff: int = DEFAULT_CUTOFF, group: PermGroup | N
             candidates = sorted(candidates, key=lambda p: int(scheme.color[p]) not in doubled)
         for delta in candidates:
             in_hand = size == 1 and delta[0] in known
-            cc = known[delta[0]] if in_hand else point_fission(scheme, delta)
+            cc = known[delta[0]] if in_hand else point_fission(scheme, delta, group)
             if cc.is_complete:
                 return size, delta
     raise CutoffExceeded("no complete fission from at most %d points" % cutoff)

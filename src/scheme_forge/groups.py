@@ -450,17 +450,34 @@ def _resolving_base(color: np.ndarray, r: int, prefix=()) -> list[int]:
 
 
 def _greedy_generators(elements, n: int) -> list[Perm]:
-    ident = identity_perm(n)
-    known = {ident}
-    gens: list[Perm] = []
+    """The elements, in order, that the ones kept before them do not generate
+    (the identity alone for the trivial group).
+
+    Each kept g extends the known subgroup H to <H, g> by Dimino's cosets:
+    the new group is the union of the cosets H.w that products of a
+    representative and a generator reach, so H is never closed again.
+    """
+    known = {identity_perm(n)}
+    rows = np.arange(n)[None, :]  # the elements of H
+    gens: list[np.ndarray] = []
+    kept: list[Perm] = []
     for g in elements:
         if g in known:
             continue
-        gens.append(g)
-        known = _closure(gens, n, None)
-    if not gens:
-        gens.append(ident)
-    return gens
+        kept.append(g)
+        gens.append(np.asarray(g))
+        cosets = [rows]
+        reps = [np.arange(n)]
+        for w in reps:  # grows while it is read
+            for s in gens:
+                x = s[w]  # apply w, then s
+                if tuple(x.tolist()) not in known:
+                    coset = x[rows]  # apply each element of H, then x
+                    known.update(map(tuple, coset.tolist()))
+                    cosets.append(coset)
+                    reps.append(x)
+        rows = np.concatenate(cosets)
+    return kept or [identity_perm(n)]
 
 
 def _rotations(scheme: Scheme, group: PermGroup, alpha: int, bound: int = DEFAULT_BOUND):

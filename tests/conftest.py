@@ -57,6 +57,17 @@ def c197():
 
 
 @pytest.fixture(scope="session")
+def f9():
+    # F_9 = Z_3[i] with point a + 3b for a + bi: translations by 1 and by i,
+    # then multiplication by i, (a, b) -> (-b, a)
+    pts = [(a, b) for b in range(3) for a in range(3)]
+    index = lambda a, b: a % 3 + 3 * (b % 3)
+    gens = [tuple(index(a + 1, b) for a, b in pts), tuple(index(a, b + 1) for a, b in pts),
+            tuple(index(-b, a) for a, b in pts)]
+    return sf.orbital_scheme(sf.PermGroup(9, tuple(gens)))
+
+
+@pytest.fixture(scope="session")
 def battery(z5, z13, z17, z29, v25):
     return {"z5": z5, "z13": z13, "z17": z17, "z29": z29, "v25": v25}
 

@@ -377,9 +377,9 @@ def test_fission_command_stabilizes_once(z13_file, capsys, monkeypatch):
     calls = []
     original = fission.wl_stabilize
 
-    def counting(matrix):
+    def counting(*args, **kwargs):
         calls.append(1)
-        return original(matrix)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(fission, "wl_stabilize", counting)
     assert run(["fission", z13_file, "--points", "0"]) == 0

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import scheme_forge as sf
-from scheme_forge import fission
+from scheme_forge import fission, groups
+from scheme_forge.cli import build_report, run
 
 import oracles
 
@@ -17,28 +18,32 @@ def test_wl_fixes_scheme_matrices(battery):
         assert oracles.partition_of(cfg.color) == oracles.partition_of(scheme.color)
 
 
-LADDER = ("z5", "z13", "z17", "z29", "v25", "c53", "c101", "v125", "c197")
+LADDER = ("z5", "z13", "z17", "z29", "v25", "c53", "c101", "v125", "c197", "f9")
 
 
 @pytest.fixture(scope="session")
-def ladder(battery, c53, c101, v125, c197):
-    return battery | {"c53": c53, "c101": c101, "v125": v125, "c197": c197}
+def ladder(battery, c53, c101, v125, c197, f9):
+    return battery | {"c53": c53, "c101": c101, "v125": v125, "c197": c197, "f9": f9}
 
 
 @pytest.mark.parametrize("name", LADDER)
 def test_fissions_match_sorted_path_oracle(ladder, name):
+    # the automorphism group only stops the rounds early: same matrix
     scheme = ladder[name]
+    aut = sf.automorphism_group(scheme)
     for points in ((0,), (0, 1)):
-        cc = sf.point_fission(scheme, points)
         expected = oracles.point_fission_by_sorted_paths(scheme, points)
-        assert np.array_equal(cc.color, expected), points
-        assert cc.num_colors == int(expected.max()) + 1
+        for group in (None, aut):
+            cc = sf.point_fission(scheme, points, group)
+            assert np.array_equal(cc.color, expected), (points, group)
+            assert cc.num_colors == int(expected.max()) + 1
 
 
 @pytest.mark.parametrize("modulus", (1, 3))
 def test_colliding_evaluations_fall_back_to_exact_splits(ladder, modulus, monkeypatch):
     # modulo 3 the random evaluations collide often; modulo 1 they are all
-    # zero, so every split must come from the exact fallback
+    # zero, so every split must come from the exact fallback, with or
+    # without the orbit count to stop at
     found = []
     original = fission._unstable_pairs
 
@@ -51,12 +56,77 @@ def test_colliding_evaluations_fall_back_to_exact_splits(ladder, modulus, monkey
     monkeypatch.setattr(fission, "_unstable_pairs", recording)
     for name in ("z13", "z17", "v25", "c53"):
         scheme = ladder[name]
+        aut = sf.automorphism_group(scheme)
         for points in ((0,), (0, 1)):
-            cc = sf.point_fission(scheme, points)
             expected = oracles.point_fission_by_sorted_paths(scheme, points)
-            assert np.array_equal(cc.color, expected), (name, points)
+            for group in (None, aut):
+                cc = sf.point_fission(scheme, points, group)
+                assert np.array_equal(cc.color, expected), (name, points, group)
     if modulus == 1:
         assert any(found)
+
+
+@pytest.mark.parametrize("name", LADDER)
+def test_pair_orbit_count_by_burnside(ladder, name):
+    # against the orbits of the listed elements fixing the points; where
+    # |Aut| = 4n it is the Frobenius witness, G_0 is a C4 fixing only 0, and
+    # there are (n**2 + 3) / 4
+    scheme = ladder[name]
+    n = scheme.n
+    aut = sf.automorphism_group(scheme)
+    elements = groups.enumerate_elements(aut)
+    for points in ([0], [0, 1], [0, n - 1]):
+        fixing = [g for g in elements if all(g[p] == p for p in points)]
+        orbit_count = int(np.max(oracles.orbital_partition(fixing, n))) + 1
+        assert fission._pair_orbit_count(scheme, points, aut) == orbit_count, points
+    if sf.group_order(aut) == 4 * n:
+        assert fission._pair_orbit_count(scheme, [0], aut) == (n * n + 3) // 4
+
+
+def test_groups_that_may_move_colors_count_every_pair(z13):
+    # a plain group is not known to preserve colors, here a transposition
+    # that moves them, and the automorphisms of the Paley graph on 13 points
+    # are those of another scheme: neither may stop the rounds early
+    swap = sf.PermGroup(13, (tuple(range(11)) + (12, 11),))
+    squares = {x * x % 13 for x in range(1, 13)}
+    paley = sf.from_matrix(np.array([[0 if x == y else 1 if (x - y) % 13 in squares else 2
+                                      for y in range(13)] for x in range(13)]))
+    assert fission._pair_orbit_count(z13, [0], swap) == 169
+    assert fission._pair_orbit_count(z13, [0], sf.automorphism_group(paley)) == 169
+    for points in ((0,), (0, 1)):
+        expected = oracles.point_fission_by_sorted_paths(z13, points)
+        assert np.array_equal(sf.point_fission(z13, points, swap).color, expected), points
+    assert sf.find_base(z13, cutoff=3, group=swap) == sf.find_base(z13, cutoff=3)
+
+
+@pytest.fixture
+def exact_checks(monkeypatch):
+    """Color counts at which the exact stability check ran, in order."""
+    calls = []
+    original = fission._unstable_pairs
+
+    def recording(color, num):
+        calls.append(num)
+        return original(color, num)
+
+    monkeypatch.setattr(fission, "_unstable_pairs", recording)
+    return calls
+
+
+@pytest.mark.parametrize("name", ("c53", "c101", "v125"))
+def test_report_reaches_the_orbit_count_without_exact_checks(ladder, exact_checks, name):
+    report = build_report(ladder[name], name)
+    assert {c.status for c in report.checks} <= {"pass", sf.cli.NA}
+    assert exact_checks == []
+
+
+def test_fission_command_reaches_the_orbit_count_without_exact_checks(
+        c197, tmp_path, capsys, exact_checks):
+    path = tmp_path / "c197.asc"
+    sf.save_asc(c197, str(path))
+    assert run(["fission", str(path), "--points", "0"]) == 0
+    assert "colors: 9703  fibers: 50" in capsys.readouterr().out
+    assert exact_checks == []
 
 
 def test_modulus_keeps_products_exact():

@@ -204,8 +204,6 @@ CHAIN_ORDERS = {"z5": 120, "z13": 52, "z17": 68, "z29": 116, "v25": 100, "c53": 
 
 
 def _chain_scheme(request, name):
-    if name == "f9":
-        return sf.orbital_scheme(_f9_frobenius())
     if name == "shrikhande":
         return _cayley_scheme_z4z4({(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)})
     if name == "rook":
@@ -360,20 +358,10 @@ def test_aut_is_the_witness_without_closure(z13, v25, c53, auts, monkeypatch):
         assert (cert.kernel_size, cert.stabilizer_order, cert.orbital_match) == (scheme.n, 4, True)
 
 
-def _f9_frobenius():
-    # F_9 = Z_3[i] with point a + 3b for a + bi: translations by 1 and by i,
-    # then multiplication by i, (a, b) -> (-b, a)
-    pts = [(a, b) for b in range(3) for a in range(3)]
-    index = lambda a, b: a % 3 + 3 * (b % 3)
-    gens = [tuple(index(a + 1, b) for a, b in pts), tuple(index(a, b + 1) for a, b in pts),
-            tuple(index(-b, a) for a, b in pts)]
-    return sf.PermGroup(9, tuple(gens))
-
-
-def test_f9_witness_from_a_larger_aut():
+def test_f9_witness_from_a_larger_aut(f9):
     # |Aut| = 72 is not 4n, and Aut has more fixed-point-free elements than
     # translations, so the pair route finds the witness
-    scheme = sf.orbital_scheme(_f9_frobenius())
+    scheme = f9
     aut = sf.automorphism_group(scheme)
     assert sf.group_order(aut) == 72
     cert = sf.frobenius_witness(scheme, group=aut)
@@ -383,7 +371,7 @@ def test_f9_witness_from_a_larger_aut():
     assert oracles.frobenius_by_definition(set(groups.enumerate_elements(cert.group)), 9)
 
 
-def test_witness_needs_a_rotation():
+def test_witness_needs_a_rotation(f9):
     # Sym(3) x Sym(3) on the 3 x 3 grid of F_9 is transitive, color-preserving
     # and of order 36 = 4n, but its point stabilizer is C2 x C2
     pts = [(a, b) for b in range(3) for a in range(3)]
@@ -391,7 +379,7 @@ def test_witness_needs_a_rotation():
     maps = (lambda a, b: (a + 1, b), lambda a, b: (-a, b),
             lambda a, b: (a, b + 1), lambda a, b: (a, -b))
     grid = sf.PermGroup(9, tuple(tuple(index(*f(a, b)) for a, b in pts) for f in maps))
-    scheme = sf.orbital_scheme(_f9_frobenius())
+    scheme = f9
     assert sf.group_order(grid) == 36 and groups.is_transitive(grid)
     assert all(oracles.is_automorphism(scheme.color, g) for g in grid.generators)
     assert sf.frobenius_witness(scheme, group=grid) is None
@@ -505,6 +493,21 @@ AUT_JSON_SHA256 = {
 
 def test_aut_json_is_unchanged(battery, tmp_path, capsys):
     assert _json_digests("aut", battery, tmp_path, capsys) == AUT_JSON_SHA256
+
+
+@pytest.mark.parametrize("name", ("z5", "v25", "f9", "rook"))
+def test_greedy_generators_match_closing_from_scratch(request, name):
+    # keep each element that the ones kept before it do not generate,
+    # closing them again every time
+    scheme = _chain_scheme(request, name)
+    elements = groups.enumerate_elements(sf.automorphism_group(scheme))
+    expected, known = [], {groups.identity_perm(scheme.n)}
+    for g in elements:
+        if g not in known:
+            expected.append(g)
+            known = groups._closure(expected, scheme.n, None)
+    assert groups._greedy_generators(elements, scheme.n) == expected
+    assert groups._greedy_generators([groups.identity_perm(3)], 3) == [(0, 1, 2)]
 
 
 # --- .perm format ---

@@ -24,9 +24,9 @@ def built(monkeypatch):
     calls = []
     original = fission.point_fission
 
-    def counting(scheme, points):
+    def counting(scheme, points, *args, **kwargs):
         calls.append(tuple(points))
-        return original(scheme, points)
+        return original(scheme, points, *args, **kwargs)
 
     monkeypatch.setattr(fission, "point_fission", counting)
     return calls
