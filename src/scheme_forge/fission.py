@@ -126,8 +126,8 @@ def _modulus(n: int) -> int:
 def _unstable_pairs(color: np.ndarray, num: int) -> np.ndarray:
     """n x n mask of the pairs whose path codes differ from their color's first pair."""
     unstable = np.empty(color.shape, dtype=bool)
-    for lo, codes, expected in _path_code_blocks(color, num, _first_pairs(color)):
-        unstable[lo:lo + len(codes)] = (codes != expected).any(axis=2)
+    for xs, codes, expected in _path_code_blocks(color, num, _first_pairs(color)):
+        unstable[xs] = (codes != expected).any(axis=2)
     return unstable
 
 

@@ -6,7 +6,8 @@ stabiliser chain.  Element lists are enumerated on demand, from the chain's
 transversals or by breadth-first closure, and cached.
 
 Automorphism groups come from a stabiliser-chain search over a resolving
-base (Sims 1970; McKay and Piperno 2014): once the images of the base are
+base (Sims 1970; McKay and Piperno 2014), whose depth-first search lives in
+autsearch, shared with scheme validation: once the images of the base are
 chosen, every other point's image is forced.  Levels are filled from the
 deepest up.  At level i, each image y of base[i] that the colors allow and
 that the generators found so far do not already reach gets one depth-first
@@ -30,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autsearch import _levels, _resolving_base
 from .scheme_core import (
     FormatError,
     Scheme,
@@ -346,75 +348,17 @@ def automorphism_group(scheme: Scheme, bound: int = DEFAULT_BOUND) -> PermGroup:
 def _search(scheme: Scheme, prefix, bound) -> tuple[Chain, tuple[Perm, ...]]:
     """The chain of Aut over a resolving base that starts with prefix, and
     its strong generators."""
-    color = scheme.color
-    base = _resolving_base(color, scheme.r, prefix)
-    key_order = np.lexsort(color[base, :][::-1])
-    sorted_keys = color[base, :][:, key_order]
+    base = _resolving_base(scheme.color, scheme.r, prefix)
     gens: list[list[int]] = []
     transversals: list[np.ndarray] = []
     below = 1  # order of the stabiliser of base[:i + 1], then of base[:i]
-    for i in reversed(range(len(base))):
-        fixed = base[:i]
-        orbit = _orbit(base[i], gens)
-        for y in _candidates(color, base, fixed):
-            if y in orbit:
-                continue
-            g = _first_automorphism(color, base, fixed + [y], key_order, sorted_keys)
-            if g is not None:
-                gens.append(g)
-                orbit = _orbit(base[i], gens)
+    for i, orbit in _levels(scheme.color, base, gens):
         below *= len(orbit)
         if below > bound:
             raise BoundExceeded("more than %d automorphisms" % bound)
         transversals.append(_transversal(base[i], orbit, gens, scheme.n))
     chain = Chain(scheme, tuple(base), tuple(reversed(transversals)))
     return chain, tuple(map(tuple, gens))
-
-
-def _candidates(color: np.ndarray, base, images) -> list[int]:
-    """The points whose colors from images match those of base[len(images)]
-    from base[:len(images)]: the images that base point may take."""
-    target = base[len(images)]
-    mask = np.ones(len(color), dtype=bool)
-    for b, c in zip(base, images):
-        mask &= color[c, :] == color[b, target]
-    return np.nonzero(mask)[0].tolist()
-
-
-def _first_automorphism(color, base, images, key_order, sorted_keys) -> list[int] | None:
-    """The first automorphism, depth first, sending base[:len(images)] to images.
-
-    Since color(g(b), g(x)) = color(b, x), x goes to the point whose colors
-    from the base images equal its own colors from the base; the forced map
-    is checked on all n x n pairs.
-    """
-    stack = [images]
-    while stack:
-        partial = stack.pop()
-        if len(partial) < len(base):
-            stack.extend(partial + [y] for y in reversed(_candidates(color, base, partial)))
-            continue
-        found = color[partial, :]
-        order = np.lexsort(found[::-1])
-        if not np.array_equal(found[:, order], sorted_keys):
-            continue
-        img = np.empty(len(color), dtype=np.intp)
-        img[key_order] = order
-        if np.array_equal(color[np.ix_(img, img)], color):
-            return img.tolist()
-    return None
-
-
-def _orbit(point: int, gens) -> dict[int, None]:
-    """The orbit of point under gens, in the order it is reached."""
-    orbit = {point: None}
-    reached = [point]
-    for x in reached:  # grows while it is read
-        for g in gens:
-            if g[x] not in orbit:
-                orbit[g[x]] = None
-                reached.append(g[x])
-    return orbit
 
 
 def _transversal(point: int, orbit, gens, n: int) -> np.ndarray:
@@ -427,26 +371,6 @@ def _transversal(point: int, orbit, gens, n: int) -> np.ndarray:
             if g[x] not in rows:
                 rows[g[x]] = a[rows[x]]  # apply rows[x], then g
     return np.stack([rows[y] for y in orbit])
-
-
-def _resolving_base(color: np.ndarray, r: int, prefix=()) -> list[int]:
-    """Points whose color rows give every point a distinct code: prefix, then
-    points chosen greedily, each the least that splits the codes into the
-    most classes.  A point always splits off itself, as color 0 is the
-    diagonal, so this ends.
-    """
-    base = list(prefix)
-    cells = np.zeros(len(color), dtype=np.int64)
-    for p in base:
-        cells = np.unique(cells * r + color[p], return_inverse=True)[1]
-    while not base or cells.max() + 1 < len(color):
-        trial = cells[None, :] * r + color  # row p: the codes if p joins
-        ranked = np.sort(trial, axis=1)
-        classes = (np.diff(ranked, axis=1) != 0).sum(axis=1)
-        p = int(np.argmax(classes))
-        base.append(p)
-        cells = np.unique(trial[p], return_inverse=True)[1]
-    return base
 
 
 def _greedy_generators(elements, n: int) -> list[Perm]:

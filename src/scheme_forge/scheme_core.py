@@ -4,6 +4,21 @@ A scheme on n points is stored as an n x n matrix of color indices
 0..r-1.  Color 0 is reserved for the diagonal.  Validation derives the
 full tensor of intersection numbers c(s,t,u) and refuses any matrix
 where a structure constant fails to be constant over its color class.
+
+Constancy is checked on one row per orbit of the automorphisms that a
+search on the bare color matrix finds (see autsearch), and the check is
+exact.  An automorphism g keeps colors, so the pairs (x, y) and (gx, gy)
+have the same color, hence the same first pair, and the same multiset of
+path codes: the least code whose count differs from the first pair's is
+the same along an orbit of pairs.  The error names the least such code,
+then the least pair in row-major order; were its row x not the least
+point of its orbit, some g would map x below it, and (gx, gy) would come
+first.  So only the least point of each orbit needs its row checked.
+The search is capped at n stack pops in all, since it can take
+exponential time on a matrix that is not a scheme; what it found by then
+still counts.  Finding nothing means checking every row, O(n**3 log n).
+In a 4-equivalenced scheme Aut is transitive, and on every ladder
+instance the search finds it within the cap, so one row is checked.
 """
 
 from __future__ import annotations
@@ -11,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .autsearch import OutOfNodes, _levels, _orbit, _resolving_base
 
 
 class SchemeForgeError(Exception):
@@ -121,46 +138,50 @@ def _first_pairs(color: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(first, color.shape[0])
 
 
-def _path_code_blocks(color: np.ndarray, r: int, firsts):
-    """Yield (lo, codes, expected) for blocks of consecutive rows x.
+def _path_code_blocks(color: np.ndarray, r: int, firsts, rows=None):
+    """Yield (xs, codes, expected) for blocks of the given rows x (all rows
+    when None), in their order.
 
     The path codes of a pair (x,y) are color(x,z) * r + color(z,y) over
     all z, so code s*r + t occurs c(s,t;color(x,y)) times among them.
-    codes[i, y] holds the sorted codes of the pair (lo + i, y), and
-    expected[i, y] those of the first pair of color(lo + i, y) in
+    codes[i, y] holds the sorted codes of the pair (xs[i], y), and
+    expected[i, y] those of the first pair of color(xs[i], y) in
     row-major order, built for the block's colors only, so that no table
     over all r colors is held.  firsts holds those first pairs (see
     _first_pairs).  A block holds at most _BLOCK_BYTES of codes.
     """
     n = color.shape[0]
+    rows = np.arange(n) if rows is None else np.asarray(rows)
     # at least 16 bits: numpy sorts 8-bit keys without its vectorised sort
     dtype = np.promote_types(np.min_scalar_type(r * r - 1), np.uint16)
     scaled = (color * r).astype(dtype)
     transposed = color.T.astype(dtype, order="C")
     xs, ys = firsts
-    rows = max(1, _BLOCK_BYTES // (n * n * dtype.itemsize))
-    for lo in range(0, n, rows):
-        block = color[lo:lo + rows]
-        codes = scaled[lo:lo + rows, None, :] + transposed[None, :, :]
+    step = max(1, _BLOCK_BYTES // (n * n * dtype.itemsize))
+    for lo in range(0, len(rows), step):
+        block_rows = rows[lo:lo + step]
+        block = color[block_rows]
+        codes = scaled[block_rows, None, :] + transposed[None, :, :]
         codes.sort(axis=2)
         colors, inverse = np.unique(block, return_inverse=True)
         reference = scaled[xs[colors]] + transposed[ys[colors]]
         reference.sort(axis=1)
-        yield lo, codes, reference[inverse.reshape(block.shape)]
+        yield block_rows, codes, reference[inverse.reshape(block.shape)]
 
 
-def _check_constancy(color: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+def _check_constancy(color: np.ndarray, r: int, rows=None) -> tuple[np.ndarray, np.ndarray]:
     """Check that every c(s,t,u) is constant over the pairs of color u, and
     return the first pair of each color (see _first_pairs).
 
-    The sorted path codes of every pair must equal those of its color's
-    first pair (see _path_code_blocks).  On failure the error names the
-    least code s*r + t, then the least pair in row-major order, whose
-    count differs from that of its color's first pair.
+    The sorted path codes of every pair in the given rows, ascending (all
+    rows when None), must equal those of its color's first pair (see
+    _path_code_blocks).  On failure the error names the least code
+    s*r + t, then the least pair in row-major order, whose count differs
+    from that of its color's first pair.
     """
     firsts = _first_pairs(color)
     witness = None
-    for lo, codes, expected in _path_code_blocks(color, r, firsts):
+    for xs, codes, expected in _path_code_blocks(color, r, firsts, rows):
         differ = codes != expected
         bx, by = np.nonzero(differ.any(axis=2))
         if len(bx) == 0:
@@ -170,7 +191,7 @@ def _check_constancy(color: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]
         at = differ[bx, by].argmax(axis=1)
         least = np.minimum(codes[bx, by, at], expected[bx, by, at])
         j = int(least.argmin())
-        found = (int(least[j]), lo + int(bx[j]), int(by[j]))
+        found = (int(least[j]), int(xs[bx[j]]), int(by[j]))
         witness = found if witness is None else min(witness, found)
     if witness is not None:
         code, x, y = witness
@@ -183,6 +204,27 @@ def _check_constancy(color: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]
             int(np.count_nonzero(color[x] * r + color[:, y] == code)),
         )
     return firsts
+
+
+def _orbit_minima(color: np.ndarray, r: int) -> list[int]:
+    """The least point of each orbit of the automorphisms that a search of at
+    most n stack pops finds: every point when it finds none (see the module
+    docstring).  Color 0 must be exactly the diagonal.
+    """
+    n = len(color)
+    gens: list[list[int]] = []
+    try:
+        for _ in _levels(color, _resolving_base(color, r), gens, iter(range(n))):
+            pass
+    except OutOfNodes:
+        pass
+    seen = np.zeros(n, dtype=bool)
+    minima = []
+    for x in range(n):
+        if not seen[x]:
+            minima.append(x)
+            seen[list(_orbit(x, gens))] = True
+    return minima
 
 
 def validate(n: int, r: int, color, dual) -> Scheme:
@@ -231,7 +273,7 @@ def validate(n: int, r: int, color, dual) -> Scheme:
         s = int(np.nonzero(counts == 0)[0][0])
         raise ValueError("color %d never occurs" % s)
 
-    firsts = _check_constancy(mat, r)
+    firsts = _check_constancy(mat, r, _orbit_minima(mat, r))
     c = np.empty((r, r, r), dtype=np.int64)
     for u, (x, y) in enumerate(zip(*firsts)):
         c[:, :, u] = np.bincount(mat[x] * r + mat[:, y], minlength=r * r).reshape(r, r)
@@ -345,8 +387,8 @@ def product_inner(scheme: Scheme, s: int, t: int, u: int, v: int) -> int:
 
 def write_asc(scheme: Scheme) -> str:
     lines = ["%d %d" % (scheme.n, scheme.r)]
-    for row in scheme.color:
-        lines.append(" ".join(str(int(v)) for v in row))
+    for row in scheme.color.tolist():
+        lines.append(" ".join(map(str, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -381,7 +423,7 @@ def read_asc(text: str) -> Scheme:
             raise FormatError("color entries must lie in 0..%d" % (r - 1)) from None
     if mat.min() < 0 or mat.max() >= r:
         raise FormatError("color entries must lie in 0..%d" % (r - 1))
-    if len(np.unique(mat)) != r:
+    if not np.bincount(mat.ravel(), minlength=r).all():
         raise FormatError("header declares %d colors but some never occur" % r)
     dual = _scan_dual(mat, r)
     return validate(n, r, mat, dual)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -65,6 +66,44 @@ def f9():
     gens = [tuple(index(a + 1, b) for a, b in pts), tuple(index(a, b + 1) for a, b in pts),
             tuple(index(-b, a) for a, b in pts)]
     return sf.orbital_scheme(sf.PermGroup(9, tuple(gens)))
+
+
+def _cayley_scheme_z4z4(connection):
+    pts = [(i, j) for i in range(4) for j in range(4)]
+    adjacent = np.array(
+        [[((a[0] - b[0]) % 4, (a[1] - b[1]) % 4) in connection for b in pts] for a in pts]
+    )
+    color = np.where(adjacent, 1, 2)
+    np.fill_diagonal(color, 0)
+    return sf.from_matrix(color)
+
+
+@pytest.fixture(scope="session")
+def shrikhande():
+    # SRG(16,6,2,2) with |Aut| = 192
+    return _cayley_scheme_z4z4({(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)})
+
+
+@pytest.fixture(scope="session")
+def rook():
+    # the 4x4 rook's graph, SRG(16,6,2,2) with |Aut| = 2 * 24**2 = 1152
+    return _cayley_scheme_z4z4({(1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3)})
+
+
+@pytest.fixture(scope="session")
+def paley13():
+    squares = {x * x % 13 for x in range(1, 13)}
+    return sf.from_matrix(np.array([[0 if x == y else 1 if (x - y) % 13 in squares else 2
+                                     for y in range(13)] for x in range(13)]))
+
+
+@pytest.fixture(scope="session")
+def random_graph():
+    def build(n, seed):
+        """A seeded random symmetric matrix: 0 on the diagonal, 1 or 2 off it."""
+        upper = np.triu(np.random.default_rng(seed).integers(1, 3, size=(n, n)), 1)
+        return upper + upper.T
+    return build
 
 
 @pytest.fixture(scope="session")

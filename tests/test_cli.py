@@ -16,6 +16,8 @@ import scheme_forge as sf
 from scheme_forge import fission, groups, planes
 from scheme_forge.cli import run
 
+import oracles
+
 
 @pytest.fixture(scope="module")
 def z13_file(tmp_path_factory):
@@ -64,6 +66,18 @@ def test_check_corrupted_exits_1(tmp_path, z13_file, capsys):
     bad.write_text(lines[0] + "\n" + "\n".join(" ".join(r) for r in rows) + "\n")
     assert run(["check", str(bad)]) == 1
     assert "NonConstantIntersection" in capsys.readouterr().out
+
+
+def test_check_random_graph_exits_1_with_the_constancy_detail(tmp_path, random_graph, capsys):
+    color = random_graph(60, 60)
+    path = tmp_path / "random.asc"
+    path.write_text("60 3\n" + "".join(" ".join(map(str, row)) + "\n" for row in color.tolist()))
+    with pytest.raises(sf.NonConstantIntersection) as expected:
+        oracles.constancy_by_matmul(color, 3)
+    assert run(["check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "invalid: NonConstantIntersection: %s\n" % expected.value
+    assert "Traceback" not in captured.err
 
 
 def test_check_malformed_exits_3(tmp_path):

@@ -4,7 +4,9 @@ Equal tensors on valid schemes; on corrupted ones the same
 NonConstantIntersection fields and message, including a corruption that
 only the last row block can see and one that only a reference pair in
 another block can show.  validate_configuration runs the same
-check without building a tensor.
+check without building a tensor.  validate checks one row per orbit of
+the automorphisms that a search of at most n stack pops finds: one row
+on the ladder, the oracle's outcome everywhere.
 """
 
 import itertools
@@ -16,7 +18,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import scheme_forge as sf
-from scheme_forge import fission, scheme_core
+from scheme_forge import autsearch, fission, groups, scheme_core
 
 import oracles
 
@@ -192,3 +194,118 @@ def test_corrupted_configuration_raises(battery, c53, name):
         with pytest.raises(sf.NonConstantIntersection) as expected:
             oracles.constancy_by_matmul(bad, cc.num_colors)
         assert str(caught.value) == str(expected.value)
+
+
+def _rows_checked(monkeypatch):
+    """The rows whose path codes validation sorts, in order."""
+    rows = []
+    original = scheme_core._path_code_blocks
+
+    def recording(*args):
+        for block in original(*args):
+            rows.extend(block[0].tolist())
+            yield block
+
+    monkeypatch.setattr(scheme_core, "_path_code_blocks", recording)
+    return rows
+
+
+def _search_nodes(monkeypatch):
+    """The stack pops of the capped search, failing past n of them: each
+    inner node asks for candidates (the level loop asks with a prefix of
+    the base itself), and each leaf forces a map."""
+    pops = []
+    candidates, forced_map = autsearch._candidates, autsearch._forced_map
+
+    def pop(color, images):
+        pops.append(images)
+        assert len(pops) <= len(color), "more than n search nodes"
+
+    def inner(color, base, images):
+        if list(images) != list(base[:len(images)]):
+            pop(color, images)
+        return candidates(color, base, images)
+
+    def leaf(color, images, *args):
+        pop(color, images)
+        return forced_map(color, images, *args)
+
+    monkeypatch.setattr(autsearch, "_candidates", inner)
+    monkeypatch.setattr(autsearch, "_forced_map", leaf)
+    return pops
+
+
+@pytest.mark.parametrize("name", ["c53", "c101", "v125", "c197"])
+def test_valid_read_checks_one_row(request, name, monkeypatch):
+    scheme = request.getfixturevalue(name)
+    points = np.random.default_rng(scheme.n).permutation(scheme.n)
+    color = np.empty_like(scheme.color)
+    color[np.ix_(points, points)] = scheme.color
+    text = "%d %d\n" % (scheme.n, scheme.r) + "".join(
+        " ".join(map(str, row)) + "\n" for row in color.tolist())
+    rows = _rows_checked(monkeypatch)
+    read = sf.read_asc(text)
+    assert rows == [0]
+    assert np.array_equal(read.tensor.c, scheme.tensor.c)
+
+
+@pytest.mark.parametrize("name,seed", [(name, seed) for name in ("v125", "c197")
+                                       for seed in range(4)])
+def test_seeded_corruption_matches_oracle(request, name, seed):
+    scheme = request.getfixturevalue(name)
+    rng = np.random.default_rng(seed)
+    bad = scheme.color.copy()
+    for _ in range(1 + seed % 2):
+        first, second = (tuple(rng.choice(scheme.n, 2, replace=False)) for _ in range(2))
+        if seed < 2:
+            _swap(bad, first, second)
+        else:
+            s = int(rng.integers(1, scheme.r))
+            bad[first], bad[first[::-1]] = s, scheme.dual[s]
+    assert not np.array_equal(bad, scheme.color)
+    assert isinstance(_assert_same_outcome(bad, scheme.r), sf.NonConstantIntersection)
+
+
+def test_corruption_kept_by_a_rotation_matches_oracle(c197, monkeypatch):
+    # swap the colors of two pairs and of their images under the rotation
+    # x -> g x at 0, which stays an automorphism, so its orbits are checked
+    # one row each
+    n, g = c197.n, groups._least_order_four_unit(c197.n)
+    bad = c197.color.copy()
+    for k in range(4):
+        m = pow(g, k, n)
+        _swap(bad, (3 * m % n, 10 * m % n), (5 * m % n, 7 * m % n))
+    assert bad[3, 10] != c197.color[3, 10]
+    rows = _rows_checked(monkeypatch)
+    assert isinstance(_assert_same_outcome(bad, c197.r), sf.NonConstantIntersection)
+    assert len(rows) <= 1 + (n - 1) // 4
+
+
+@pytest.mark.parametrize("name", ["f9", "shrikhande", "rook", "paley13"])
+def test_small_transitive_schemes_match_oracle(request, name, monkeypatch):
+    # the capped search finds part of Aut, so some rows but not all are checked
+    scheme = request.getfixturevalue(name)
+    rows = _rows_checked(monkeypatch)
+    tensor = _assert_same_outcome(scheme.color, scheme.r)
+    assert np.array_equal(tensor, oracles.tensor_by_matmul(scheme))
+    assert rows[0] == 0 and len(rows) < scheme.n
+
+
+@pytest.mark.parametrize("n", [40, 60, 200])
+def test_search_stops_at_n_nodes(random_graph, n, monkeypatch):
+    # a random graph has no automorphism but the identity, and the search
+    # for one can take exponential time; it stops after n pops
+    pops = _search_nodes(monkeypatch)
+    exc = _assert_same_outcome(random_graph(n, n), 3)
+    assert isinstance(exc, sf.NonConstantIntersection)
+    assert len(pops) == n
+
+
+def test_complete_graph_validates_past_the_group_bound():
+    # Aut(K_12) = Sym(12) has more than DEFAULT_BOUND elements; validation
+    # searches without a bound
+    color = 1 - np.eye(12, dtype=np.int64)
+    scheme = sf.validate(12, 2, color, [0, 1])
+    assert np.array_equal(scheme.tensor.c, oracles.tensor_by_matmul(scheme))
+    with pytest.raises(sf.BoundExceeded):
+        sf.automorphism_group(scheme)

@@ -83,16 +83,13 @@ def test_pair_orbit_count_by_burnside(ladder, name):
         assert fission._pair_orbit_count(scheme, [0], aut) == (n * n + 3) // 4
 
 
-def test_groups_that_may_move_colors_count_every_pair(z13):
+def test_groups_that_may_move_colors_count_every_pair(z13, paley13):
     # a plain group is not known to preserve colors, here a transposition
     # that moves them, and the automorphisms of the Paley graph on 13 points
     # are those of another scheme: neither may stop the rounds early
     swap = sf.PermGroup(13, (tuple(range(11)) + (12, 11),))
-    squares = {x * x % 13 for x in range(1, 13)}
-    paley = sf.from_matrix(np.array([[0 if x == y else 1 if (x - y) % 13 in squares else 2
-                                      for y in range(13)] for x in range(13)]))
     assert fission._pair_orbit_count(z13, [0], swap) == 169
-    assert fission._pair_orbit_count(z13, [0], sf.automorphism_group(paley)) == 169
+    assert fission._pair_orbit_count(z13, [0], sf.automorphism_group(paley13)) == 169
     for points in ((0,), (0, 1)):
         expected = oracles.point_fission_by_sorted_paths(z13, points)
         assert np.array_equal(sf.point_fission(z13, points, swap).color, expected), points

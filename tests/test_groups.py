@@ -156,23 +156,11 @@ def test_automorphism_bound_with_a_long_base(z5):
         sf.automorphism_group(z5, bound=100)
 
 
-def _cayley_scheme_z4z4(connection):
-    pts = [(i, j) for i in range(4) for j in range(4)]
-    adjacent = np.array(
-        [[((a[0] - b[0]) % 4, (a[1] - b[1]) % 4) in connection for b in pts] for a in pts]
-    )
-    color = np.where(adjacent, 1, 2)
-    np.fill_diagonal(color, 0)
-    return sf.from_matrix(color)
-
-
-def test_automorphisms_of_cospectral_rank_three_schemes():
+def test_automorphisms_of_cospectral_rank_three_schemes(shrikhande, rook):
     # SRG(16,6,2,2) twice: the Shrikhande graph (|Aut| = 192) and the 4x4
     # rook's graph (|Aut| = 2 * 24**2 = 1152).  On the Shrikhande graph some
     # forced maps are not automorphisms, so only the full check keeps the
     # count at the true order.
-    shrikhande = _cayley_scheme_z4z4({(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)})
-    rook = _cayley_scheme_z4z4({(1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3)})
     for scheme, order in ((shrikhande, 192), (rook, 1152)):
         elements = groups.enumerate_elements(sf.automorphism_group(scheme, bound=order))
         assert len(elements) == order
@@ -203,17 +191,9 @@ CHAIN_ORDERS = {"z5": 120, "z13": 52, "z17": 68, "z29": 116, "v25": 100, "c53": 
                 "c101": 404, "v125": 500, "f9": 72, "shrikhande": 192, "rook": 1152}
 
 
-def _chain_scheme(request, name):
-    if name == "shrikhande":
-        return _cayley_scheme_z4z4({(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)})
-    if name == "rook":
-        return _cayley_scheme_z4z4({(1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3)})
-    return request.getfixturevalue(name)
-
-
 @pytest.mark.parametrize("name", sorted(CHAIN_ORDERS))
 def test_chain_matches_the_per_element_search(request, name):
-    scheme = _chain_scheme(request, name)
+    scheme = request.getfixturevalue(name)
     order = CHAIN_ORDERS[name]
     listed = oracles.aut_by_base_images(scheme)
     aut = sf.automorphism_group(scheme, bound=order)
@@ -499,7 +479,7 @@ def test_aut_json_is_unchanged(battery, tmp_path, capsys):
 def test_greedy_generators_match_closing_from_scratch(request, name):
     # keep each element that the ones kept before it do not generate,
     # closing them again every time
-    scheme = _chain_scheme(request, name)
+    scheme = request.getfixturevalue(name)
     elements = groups.enumerate_elements(sf.automorphism_group(scheme))
     expected, known = [], {groups.identity_perm(scheme.n)}
     for g in elements:

@@ -223,6 +223,20 @@ def test_read_asc_rejects_garbage():
             sf.read_asc(text)
 
 
+def test_read_asc_rejects_unused_color():
+    for text in ("2 3\n0 1\n1 0\n", "3 4\n0 1 3\n1 0 1\n3 1 0\n"):
+        with pytest.raises(sf.FormatError, match="^header declares %s colors but some never "
+                                                 "occur$" % text[2]):
+            sf.read_asc(text)
+
+
+def test_write_asc_matches_per_element_formatting(battery, c53, v125):
+    for scheme in (*battery.values(), c53, v125):
+        lines = ["%d %d" % (scheme.n, scheme.r)]
+        lines += [" ".join(str(int(v)) for v in row) for row in scheme.color]
+        assert sf.write_asc(scheme) == "\n".join(lines) + "\n"
+
+
 def test_read_asc_rejects_out_of_range():
     with pytest.raises(sf.FormatError):
         sf.read_asc("2 2\n0 5\n5 0\n")
