@@ -37,6 +37,7 @@ from .scheme_core import (
     Scheme,
     SchemeForgeError,
     is_k_equivalenced,
+    read_ascii,
     validate,
     _scan_dual,
 )
@@ -553,8 +554,7 @@ def read_perm(text: str) -> PermGroup:
 
 
 def load_perm(path) -> PermGroup:
-    with open(path, "r", encoding="ascii") as fh:
-        return read_perm(fh.read())
+    return read_perm(read_ascii(path))
 
 
 def save_perm(group: PermGroup, path) -> None:

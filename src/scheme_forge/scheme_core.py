@@ -410,8 +410,44 @@ def read_asc(text: str) -> Scheme:
         raise FormatError("header values must be positive")
     if len(lines) != n + 1:
         raise FormatError("expected %d matrix rows, found %d" % (n, len(lines) - 1))
+    mat = _parse_matrix(lines[1:], n, r)
+    if mat.min() < 0 or mat.max() >= r:
+        raise FormatError("color entries must lie in 0..%d" % (r - 1))
+    if not np.bincount(mat.ravel(), minlength=r).all():
+        raise FormatError("header declares %d colors but some never occur" % r)
+    dual = _scan_dual(mat, r)
+    return validate(n, r, mat, dual)
+
+
+# tokens per np.array call in _parse_matrix: bounds the str objects alive
+_PARSE_BLOCK_TOKENS = 8192
+
+
+def _parse_matrix(lines: list[str], n: int, r: int) -> np.ndarray:
+    """The n x n matrix body, one np.array call per block of rows.
+
+    numpy parses each token with int(), as _parse_rows does, so both
+    accept the same files; on any error _parse_rows runs from the top
+    and names the first malformed row.
+    """
     mat = np.empty((n, n), dtype=np.int64)
-    for i, line in enumerate(lines[1:]):
+    step = max(1, _PARSE_BLOCK_TOKENS // n)
+    for start in range(0, n, step):
+        rows = [line.split() for line in lines[start:start + step]]
+        try:
+            block = np.array(rows, dtype=np.int64)
+        except (ValueError, OverflowError):
+            block = None
+        if block is None or block.shape != (len(rows), n):
+            return _parse_rows(lines, n, r)
+        mat[start:start + len(rows)] = block
+    return mat
+
+
+def _parse_rows(lines: list[str], n: int, r: int) -> np.ndarray:
+    """Parse row by row, so the error names the first malformed row."""
+    mat = np.empty((n, n), dtype=np.int64)
+    for i, line in enumerate(lines):
         parts = line.split()
         if len(parts) != n:
             raise FormatError("row %d has %d entries, expected %d" % (i, len(parts), n))
@@ -421,17 +457,24 @@ def read_asc(text: str) -> Scheme:
             raise FormatError("row %d has a non-integer entry" % i) from None
         except OverflowError:
             raise FormatError("color entries must lie in 0..%d" % (r - 1)) from None
-    if mat.min() < 0 or mat.max() >= r:
-        raise FormatError("color entries must lie in 0..%d" % (r - 1))
-    if not np.bincount(mat.ravel(), minlength=r).all():
-        raise FormatError("header declares %d colors but some never occur" % r)
-    dual = _scan_dual(mat, r)
-    return validate(n, r, mat, dual)
+    return mat
+
+
+def read_ascii(path) -> str:
+    """A text file's contents with universal newlines; FormatError on a non-ASCII byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as err:
+        raise FormatError(
+            "non-ASCII byte 0x%02x at offset %d" % (data[err.start], err.start)
+        ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def load_asc(path) -> Scheme:
-    with open(path, "r", encoding="ascii") as fh:
-        return read_asc(fh.read())
+    return read_asc(read_ascii(path))
 
 
 def save_asc(scheme: Scheme, path) -> None:

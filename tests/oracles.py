@@ -346,3 +346,98 @@ def blocks_by_pair_count(design, t, lam):
             hits[sub] = hits.get(sub, 0) + 1
     expected = math.comb(design.n, t)
     return len(hits) == expected and set(hits.values()) == {lam}
+
+
+def closure_by_products(scheme, rset):
+    """Add duals and the complex square of the set until it stops growing."""
+    current = set(int(x) for x in rset)
+    current.add(0)
+    while True:
+        grown = set(current)
+        grown.update(int(scheme.dual[s]) for s in current)
+        grown.update(sf.complex_product(scheme, current, current))
+        if grown == current:
+            return frozenset(current)
+        current = grown
+
+
+def structure_lemmas_by_pairs(scheme):
+    """verify_structure_lemmas one color pair at a time: product_class on
+    every ordered pair, complex_product per partner and independent pair,
+    and closures by closure_by_products."""
+    violations = []
+    checked = {}
+    if sf.is_k_equivalenced(scheme) != 4:
+        raise sf.NotFourEquivalenced("structure sweep needs common valency 4")
+
+    pp = None
+    try:
+        pp = sf.phi_psi(scheme)
+    except sf.DichotomyViolation as err:
+        violations.append("square-dichotomy: %s" % err)
+    checked["square-dichotomy"] = scheme.r - 1
+
+    if pp is not None:
+        pairs = 0
+        for s in scheme.nondiagonal():
+            for t in scheme.nondiagonal():
+                if s == t:
+                    continue
+                pairs += 1
+                try:
+                    sf.product_class(scheme, pp, s, t)
+                except sf.TrichotomyViolation as err:
+                    violations.append("product-trichotomy: %s" % err)
+        checked["product-trichotomy"] = pairs
+
+        image_phi = sorted(pp.phi[s] for s in pp.s3)
+        image_psi = sorted(pp.psi[s] for s in pp.s3)
+        ok = image_phi == sorted(pp.s3) and image_psi == sorted(pp.s3)
+        for s in pp.s3:
+            if pp.psi[s] != pp.phi[pp.phi[s]]:
+                ok = False
+        if not ok:
+            violations.append(
+                "phi-psi-bijections: phi=%s psi=%s on s3=%s" % (pp.phi, pp.psi, sorted(pp.s3))
+            )
+        checked["phi-psi-bijections"] = len(pp.s3)
+
+    if scheme.r >= 5:
+        for u in scheme.nondiagonal():
+            if not any(
+                len(sf.complex_product(scheme, {u}, {v})) == 4 for v in scheme.nondiagonal()
+            ):
+                violations.append("four-product-partner: color %d has no partner with |uv| = 4" % u)
+        checked["four-product-partner"] = scheme.r - 1
+    else:
+        checked["four-product-partner"] = 0
+
+    closures = {s: closure_by_products(scheme, {s}) for s in scheme.nondiagonal()}
+    independent = [
+        (s, t)
+        for s in scheme.nondiagonal()
+        for t in scheme.nondiagonal()
+        if s < t and s not in closures[t] and t not in closures[s]
+    ]
+    for s, t in independent:
+        prod = sf.complex_product(scheme, {s}, {t})
+        if len(prod) != 4:
+            violations.append("independent-product-split: |%d.%d| = %d" % (s, t, len(prod)))
+        elif prod & (closures[s] | closures[t]):
+            violations.append("independent-product-split: product of %d,%d meets a closure" % (s, t))
+    checked["independent-product-split"] = len(independent)
+
+    bound_pairs = 0
+    if pp is not None:
+        for s, t in independent:
+            if s in pp.s3 and t in pp.s3:
+                bound_pairs += 1
+                left = sf.complex_product(scheme, {pp.phi[t]}, {pp.phi[s]})
+                right = sf.complex_product(scheme, {pp.psi[t]}, {pp.psi[s]})
+                if len(left & right) > 1:
+                    violations.append(
+                        "split-intersection-bound: colors %d,%d share %s"
+                        % (s, t, sorted(left & right))
+                    )
+    checked["split-intersection-bound"] = bound_pairs
+    return sf.StructureReport(violations, checked)

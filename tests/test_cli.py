@@ -86,6 +86,22 @@ def test_check_malformed_exits_3(tmp_path):
     assert run(["check", str(path)]) == 3
 
 
+def test_non_ascii_input_exits_3(tmp_path, capsys):
+    scheme = tmp_path / "accent.asc"
+    scheme.write_bytes("2 2\n0 1\n1 0é\n".encode())
+    perm = tmp_path / "bad.perm"
+    perm.write_bytes(b"2 1\n1 0\xff\n")
+    for argv, detail in (
+        (["check", str(scheme)], "0xc3 at offset 11"),
+        (["report", str(scheme)], "0xc3 at offset 11"),
+        (["frobenius", str(perm)], "0xff at offset 7"),
+    ):
+        assert run(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "bad input file: non-ASCII byte %s\n" % detail
+        assert captured.out == ""
+
+
 def test_missing_file_exits_3():
     assert run(["check", "/no/such/file.asc"]) == 3
 

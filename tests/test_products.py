@@ -1,10 +1,18 @@
 import dataclasses
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import scheme_forge as sf
+from scheme_forge import products
+from scheme_forge.cli import run
 from scheme_forge.products import ProductClass
+
+import oracles
 
 
 def test_phi_psi_z13(z13):
@@ -184,3 +192,186 @@ def test_split_products_v25(v25):
             assert prod.isdisjoint(sf.closure(v25, {s}) | sf.closure(v25, {t}))
             # norm of an independent product: 4 colors, coefficient 1 each
             assert sf.product_inner(v25, s, t, s, t) == 16
+
+
+@pytest.fixture(scope="module")
+def f9_squared():
+    # F_9^2 as Z_3^4, multiplication by i on both F_9 coordinates: 81 points,
+    # 21 colors, with independent pairs among the 2u+v colors
+    pts = list(itertools.product(range(3), repeat=4))
+    index = {p: i for i, p in enumerate(pts)}
+    perm = lambda f: tuple(index[f(p)] for p in pts)
+    gens = [perm(lambda p, k=k: tuple((x + (j == k)) % 3 for j, x in enumerate(p)))
+            for k in range(4)]
+    gens.append(perm(lambda p: (-p[1] % 3, p[0], -p[3] % 3, p[2])))
+    return sf.orbital_scheme(sf.PermGroup(81, tuple(gens)))
+
+
+def _same_report(scheme):
+    report = sf.verify_structure_lemmas(scheme)
+    expected = oracles.structure_lemmas_by_pairs(scheme)
+    assert report.violations == expected.violations
+    assert list(report.checked.items()) == list(expected.checked.items())
+    return report
+
+
+def test_sweep_matches_pair_oracle(battery, c53, c101, v125, c197, f9, f9_squared):
+    schemes = dict(battery, c53=c53, c101=c101, v125=v125, c197=c197, f9=f9,
+                   f9_squared=f9_squared)
+    for name, scheme in schemes.items():
+        assert _same_report(scheme).passed, name
+
+
+def _with_tensor(scheme, c):
+    return dataclasses.replace(scheme, tensor=sf.IntersectionTensor(c))
+
+
+def _support_kept_corruption(scheme, seed):
+    """Move one unit between two non-zero entries of some c[s, t, .] with s, t
+    non-diagonal, bump one such entry, or negate it; every support stays."""
+    rng = np.random.default_rng(seed)
+    c = scheme.tensor.c.copy()
+    s, t = (int(x) for x in rng.integers(1, scheme.r, size=2))
+    support = np.flatnonzero(c[s, t])
+    donors = support[c[s, t, support] > 1]
+    kind = rng.integers(3)
+    if kind == 0 and len(support) > 1 and len(donors):
+        u = int(rng.choice(donors))
+        v = int(rng.choice(support[support != u]))
+        c[s, t, u] -= 1
+        c[s, t, v] += 1
+    elif kind == 1:
+        c[s, t, int(rng.choice(support))] *= -1
+    else:
+        c[s, t, int(rng.choice(support))] += 1
+    assert ((c != 0) == (scheme.tensor.c != 0)).all()
+    return _with_tensor(scheme, c)
+
+
+@pytest.mark.parametrize("seed", range(18))
+def test_sweep_matches_pair_oracle_on_corruptions(z17, z29, v25, c53, f9, f9_squared, seed):
+    scheme = (z17, z29, v25, c53, f9, f9_squared)[seed % 6]
+    assert not _same_report(_support_kept_corruption(scheme, seed)).passed
+
+
+def test_verify_structure_counts_f9_squared(f9_squared):
+    report = sf.verify_structure_lemmas(f9_squared)
+    assert report.checked["independent-product-split"] == 180
+    assert report.checked["split-intersection-bound"] == 180
+
+
+def test_independent_product_moved_into_a_closure(f9_squared):
+    scheme = f9_squared
+    s, t = 1, 3
+    assert sf.wr(scheme, s, t)
+    for target in (s, t):
+        c = scheme.tensor.c.copy()
+        w = int(np.flatnonzero(c[s, t])[0])
+        c[s, t, target], c[s, t, w] = c[s, t, w], 0
+        report = _same_report(_with_tensor(scheme, c))
+        assert ("independent-product-split: product of %d,%d meets a closure" % (s, t)
+                in report.violations)
+
+
+def test_split_products_sharing_two_colors(f9_squared):
+    scheme = f9_squared
+    pp = sf.phi_psi(scheme)
+    s, t = 1, 3
+    assert sf.wr(scheme, s, t) and {s, t} <= pp.s3
+    c = scheme.tensor.c.copy()
+    shared = np.flatnonzero(c[pp.phi[t], pp.phi[s]])[:2]
+    c[pp.psi[t], pp.psi[s], shared] = 1
+    report = _same_report(_with_tensor(scheme, c))
+    assert ("split-intersection-bound: colors %d,%d share %s" % (s, t, shared.tolist())
+            in report.violations)
+
+
+def test_closure_matches_products_oracle(battery, c53, v125, f9):
+    for scheme in (*battery.values(), c53, v125, f9):
+        for s in range(scheme.r):
+            assert sf.closure(scheme, {s}) == oracles.closure_by_products(scheme, {s})
+
+
+@given(st.data())
+def test_closure_of_color_sets_matches_products_oracle(battery, c53, v125, data):
+    scheme = data.draw(st.sampled_from([*battery.values(), c53, v125]))
+    colors = data.draw(st.sets(st.integers(0, scheme.r - 1), max_size=4))
+    assert sf.closure(scheme, colors) == oracles.closure_by_products(scheme, colors)
+
+
+def test_closure_rejects_unknown_color(z13):
+    for bad in (-1, z13.r):
+        with pytest.raises(ValueError, match="no such color"):
+            sf.closure(z13, {1, bad})
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("called")
+
+
+def test_sweep_makes_no_per_pair_calls(tmp_path, c101, v125, c197, capsys, monkeypatch):
+    paths = {}
+    for name, scheme in (("c101", c101), ("v125", v125), ("c197", c197)):
+        paths[name] = str(tmp_path / ("%s.asc" % name))
+        sf.save_asc(scheme, paths[name])
+    for name in ("complex_product", "closure", "product_class"):
+        monkeypatch.setattr(products, name, _refuse)
+    assert run(["lemmas", "--json", paths["c197"]]) == 0
+    assert run(["report", "--json", paths["c101"]]) == 0
+    assert run(["report", "--json", paths["v125"]]) == 0
+    capsys.readouterr()
+
+
+def test_flagged_pairs_reach_product_class(z29, monkeypatch):
+    broken = _support_kept_corruption(z29, 4)
+    calls = []
+
+    def recording(scheme, pp, s, t):
+        calls.append((s, t))
+        return sf.product_class(scheme, pp, s, t)
+
+    monkeypatch.setattr(products, "product_class", recording)
+    report = sf.verify_structure_lemmas(broken)
+    named = [v for v in report.violations if v.startswith("product-trichotomy")]
+    assert named
+    assert named == [v for v in oracles.structure_lemmas_by_pairs(broken).violations
+                     if v.startswith("product-trichotomy")]
+    for message in named:
+        s, t = message.split("colors ")[1].split(":")[0].split(",")
+        assert (int(s), int(t)) in calls
+    assert len(calls) < (z29.r - 1) * (z29.r - 2)
+
+
+def test_sweep_allocates_no_int64_cube(c197):
+    sf.verify_structure_lemmas(c197)
+    tracemalloc.start()
+    try:
+        sf.verify_structure_lemmas(c197)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < c197.tensor.c.nbytes
+
+
+def test_support_changes_flagged(z17, f9, f9_squared):
+    # each case grows supports without changing any closure, so both
+    # sweeps agree and must name the change
+    c = f9.tensor.c.copy()
+    assert sf.product_class(f9, sf.phi_psi(f9), 1, 2) is ProductClass.TWO_TWO
+    c[1, 2, 0] = 1
+    report = _same_report(_with_tensor(f9, c))
+    assert any(v.startswith("product-trichotomy: product of colors 1,2")
+               for v in report.violations)
+
+    c = z17.tensor.c.copy()
+    for v in z17.nondiagonal():
+        if np.count_nonzero(c[1, v]) == 4:
+            c[1, v, np.flatnonzero(c[1, v] == 0)[0]] = 1
+    report = _same_report(_with_tensor(z17, c))
+    assert "four-product-partner: color 1 has no partner with |uv| = 4" in report.violations
+
+    c = f9_squared.tensor.c.copy()
+    seen = sf.closure(f9_squared, {1}) | sf.closure(f9_squared, {3})
+    c[1, 3, min(set(np.flatnonzero(c[1, 3] == 0).tolist()) - seen)] = 1
+    report = _same_report(_with_tensor(f9_squared, c))
+    assert "independent-product-split: |1.3| = 5" in report.violations

@@ -248,3 +248,49 @@ def test_read_asc_transpose_mismatch():
     assert list(scheme.dual) == [0, 2, 1]
     assert not sf.is_symmetric(scheme)
     assert sf.is_commutative(scheme)
+
+
+def test_load_asc_accepts_int_tokens_and_line_ends(tmp_path):
+    # int() spellings, tabs, CRLF and a lone CR all parse as before
+    path = tmp_path / "tokens.asc"
+    for data in (b"2 2\r\n+0\t0_1\r\n1 -0\r\n", b"2 2\r0 1\r1 0\r"):
+        path.write_bytes(data)
+        assert sf.load_asc(str(path)).color.tolist() == [[0, 1], [1, 0]]
+
+
+def test_read_asc_names_the_first_malformed_row():
+    cases = {
+        "3 2\n0 1 x\n1 0\n1 1 0\n": "row 0 has a non-integer entry",
+        "3 2\n0 1\n1 x 0\n1 1 0\n": "row 0 has 2 entries, expected 3",
+        "2 2\n0 1.0\n1 0\n": "row 0 has a non-integer entry",
+        "2 2\n0 1\n1 0 0\n": "row 1 has 3 entries, expected 2",
+        "2 2\n0 1 0\n1 0 0\n": "row 0 has 3 entries, expected 2",
+        "2 2\n0 99999999999999999999\nx 0\n": "color entries must lie in 0..1",
+        "2 2\n0 -1\n1 0\n": "color entries must lie in 0..1",
+    }
+    for text, message in cases.items():
+        with pytest.raises(sf.FormatError, match="^%s$" % message.replace(".", r"\.")):
+            sf.read_asc(text)
+
+
+def test_read_asc_parses_across_row_blocks(c101):
+    # 101 rows span two blocks of the parse; an error in either block is
+    # reported for the first malformed row of the file
+    lines = sf.write_asc(c101).split("\n")
+    assert np.array_equal(sf.read_asc("\n".join(lines)).color, c101.color)
+    late = lines[:91] + ["x" + lines[91][1:]] + lines[92:]
+    with pytest.raises(sf.FormatError, match="^row 90 has a non-integer entry$"):
+        sf.read_asc("\n".join(late))
+    early = late[:6] + [lines[6] + " 0"] + late[7:]
+    with pytest.raises(sf.FormatError, match="^row 5 has 102 entries, expected 101$"):
+        sf.read_asc("\n".join(early))
+
+
+def test_load_rejects_non_ascii_bytes(tmp_path):
+    path = tmp_path / "bad"
+    for data, byte, offset in ((b"2 2\n0 1\n1 0\xc3\xa9\n", 0xC3, 11), (b"\xff", 0xFF, 0)):
+        path.write_bytes(data)
+        for load in (sf.load_asc, sf.load_perm):
+            with pytest.raises(sf.FormatError, match="^non-ASCII byte 0x%02x at offset %d$"
+                                                     % (byte, offset)):
+                load(str(path))
