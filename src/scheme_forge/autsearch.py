@@ -106,10 +106,23 @@ def _orbit(point: int, gens) -> dict[int, None]:
     reached = [point]
     for x in reached:  # grows while it is read
         for g in gens:
-            if g[x] not in orbit:
-                orbit[g[x]] = None
-                reached.append(g[x])
+            y = g[x]
+            if y not in orbit:
+                orbit[y] = None
+                reached.append(y)
     return orbit
+
+
+def _orbits(gens, n: int) -> tuple[tuple[int, ...], ...]:
+    """The orbits of gens on 0..n-1, each sorted, ordered by least point."""
+    seen: set[int] = set()
+    out = []
+    for x in range(n):
+        if x not in seen:
+            orbit = _orbit(x, gens)
+            seen.update(orbit)
+            out.append(tuple(sorted(orbit)))
+    return tuple(out)
 
 
 def _levels(color: np.ndarray, base, gens: list, nodes=None):

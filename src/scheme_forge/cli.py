@@ -81,7 +81,6 @@ def _build_context(scheme: Scheme, source: str, bound: int, cutoff: int, radius:
         "symmetric": scheme_core.is_symmetric(scheme),
     }
     ctx["pp"] = None
-    ctx["pp_error"] = None
     ctx["structure"] = None
     ctx["aut"] = None
     ctx["aut_error"] = None
@@ -89,11 +88,8 @@ def _build_context(scheme: Scheme, source: str, bound: int, cutoff: int, radius:
     ctx["planes"] = {}
     ctx["fissions"] = {}
     if ctx["k"] == 4:
-        try:
-            ctx["pp"] = products.phi_psi(scheme)
-        except SchemeForgeError as err:
-            ctx["pp_error"] = err
         ctx["structure"] = products.verify_structure_lemmas(scheme)
+        ctx["pp"] = ctx["structure"].pp
         try:
             ctx["aut"] = groups.automorphism_group(scheme, bound)
         except groups.BoundExceeded as err:
@@ -199,7 +195,8 @@ def _check_dichotomy(ctx):
     if ctx["k"] != 4:
         return NA, "needs common valency 4"
     if ctx["pp"] is None:
-        return "fail", str(ctx["pp_error"])
+        status, detail = _from_structure(ctx, "square-dichotomy")
+        return status, detail.removeprefix("square-dichotomy: ")
     pp = ctx["pp"]
     return "pass", "|s2|=%d |s3|=%d" % (len(pp.s2), len(pp.s3))
 
@@ -634,7 +631,7 @@ def _cmd_base(args) -> int:
 def _listed_generators(group, bound) -> tuple:
     """The greedy generators of the sorted elements, which are the same
     whatever search found the group."""
-    return tuple(groups._greedy_generators(groups.enumerate_elements(group, bound), group.degree))
+    return tuple(groups._dimino(groups.enumerate_elements(group, bound), group.degree)[0])
 
 
 def _cmd_aut(args) -> int:

@@ -3,7 +3,7 @@
 Permutations are tuples of images on 0..n-1.  compose(p, q) applies p
 first, then q.  Groups carry generators, and automorphism groups also a
 stabiliser chain.  Element lists are enumerated on demand, from the chain's
-transversals or by breadth-first closure, and cached.
+transversals or by Dimino's cosets, and cached.
 
 Automorphism groups come from a stabiliser-chain search over a resolving
 base (Sims 1970; McKay and Piperno 2014), whose depth-first search lives in
@@ -31,11 +31,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autsearch import _levels, _resolving_base
+from .autsearch import _levels, _orbit, _orbits, _resolving_base
 from .scheme_core import (
     FormatError,
     Scheme,
     SchemeForgeError,
+    canonical_relabel,
     is_k_equivalenced,
     read_ascii,
     validate,
@@ -83,42 +84,12 @@ def inverse(p: Perm) -> Perm:
 
 
 def perm_order(p: Perm) -> int:
-    n = len(p)
-    seen = [False] * n
-    order = 1
-    for start in range(n):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = p[x]
-            length += 1
-        order = math.lcm(order, length)
-    return order
+    """The lcm of the orbit lengths of <p>."""
+    return math.lcm(*map(len, _orbits([p], len(p))))
 
 
 def fixed_points(p: Perm) -> tuple[int, ...]:
     return tuple(i for i, v in enumerate(p) if i == v)
-
-
-def cycles_of(p: Perm, skip=()) -> set[frozenset[int]]:
-    """Orbits of <p> on the points outside skip."""
-    skipset = set(skip)
-    seen = set(skipset)
-    out = set()
-    for start in range(len(p)):
-        if start in seen:
-            continue
-        cyc = []
-        x = start
-        while x not in seen:
-            seen.add(x)
-            cyc.append(x)
-            x = p[x]
-        out.add(frozenset(cyc))
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,26 +114,6 @@ class PermGroup:
     generators: tuple[Perm, ...]
     _elements: tuple[Perm, ...] | None = field(default=None, repr=False)
     chain: Chain | None = field(default=None, repr=False)
-
-
-def _closure(gens, n: int, limit: int | None):
-    """Breadth-first closure of the generator set; None when limit is passed."""
-    ident = identity_perm(n)
-    elems = {ident}
-    frontier = [ident]
-    gen_list = [g for g in dict.fromkeys(gens) if g != ident]
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for g in gen_list:
-                b = compose(a, g)
-                if b not in elems:
-                    elems.add(b)
-                    if limit is not None and len(elems) > limit:
-                        return None
-                    fresh.append(b)
-        frontier = fresh
-    return elems
 
 
 def _expand(transversals, n: int) -> np.ndarray:
@@ -194,10 +145,10 @@ def enumerate_elements(group: PermGroup, bound: int = DEFAULT_BOUND) -> tuple[Pe
     for g in group.generators:
         if sorted(g) != list(range(group.degree)):
             raise ValueError("generator %s is not a permutation" % (g,))
-    elems = _closure(group.generators, group.degree, bound)
-    if elems is None:
+    closed = _dimino(group.generators, group.degree, bound)
+    if closed is None:
         raise BoundExceeded("closure exceeded bound %d" % bound)
-    group._elements = tuple(sorted(elems))
+    group._elements = tuple(sorted(closed[1]))
     return group._elements
 
 
@@ -228,20 +179,7 @@ def stabilizer(group: PermGroup, points, bound: int = DEFAULT_BOUND) -> tuple[Pe
 
 def orbits(group: PermGroup) -> tuple[tuple[int, ...], ...]:
     """Orbits of the group on its points, each sorted, ordered by least point."""
-    seen = [False] * group.degree
-    out = []
-    for start in range(group.degree):
-        if seen[start]:
-            continue
-        seen[start] = True
-        orbit = [start]
-        for x in orbit:  # grows while it is read
-            for g in group.generators:
-                if not seen[g[x]]:
-                    seen[g[x]] = True
-                    orbit.append(g[x])
-        out.append(tuple(sorted(orbit)))
-    return tuple(out)
+    return _orbits(group.generators, group.degree)
 
 
 def is_transitive(group: PermGroup) -> bool:
@@ -249,31 +187,48 @@ def is_transitive(group: PermGroup) -> bool:
 
 
 def orbital_scheme(group: PermGroup) -> Scheme:
-    """Scheme whose colors are the orbits of the group on ordered pairs.
+    """Scheme whose colors are the orbits of the group G on ordered pairs.
+
+    G must be transitive.  With t_x an element of the transversal from 0
+    sending 0 to x, t_x^-1 carries (x, y) to (0, t_x^-1(y)), and (0, y),
+    (0, z) share an orbit exactly when y, z share an orbit of the point
+    stabiliser G_0.  By Schreier's lemma G_0 is generated by the elements
+    t_{g(x)}^-1 g t_x over the generators g and points x.  Each point is
+    labelled by the least point of its G_0-orbit, and color(x, y) is the
+    label of t_x^-1(y).
 
     Colors are numbered by the row-major minimal pair they contain, so
-    the diagonal orbit of a transitive group is always color 0.
+    the diagonal orbit is always color 0.  Row 0 is the labelling itself
+    and meets every orbit, so numbering its labels by first occurrence
+    numbers the whole matrix.
     """
-    if not is_transitive(group):
-        raise NotTransitive("group is not transitive on its points")
     n = group.degree
-    color = np.full((n, n), -1, dtype=np.int64)
-    next_color = 0
-    for x in range(n):
-        for y in range(n):
-            if color[x, y] >= 0:
-                continue
-            stack = [(x, y)]
-            color[x, y] = next_color
-            while stack:
-                a, b = stack.pop()
-                for g in group.generators:
-                    pair = (g[a], g[b])
-                    if color[pair] < 0:
-                        color[pair] = next_color
-                        stack.append(pair)
-            next_color += 1
-    return validate(n, next_color, color, _scan_dual(color, next_color))
+    orbit = list(_orbit(0, group.generators))
+    if len(orbit) != n:
+        raise NotTransitive("group is not transitive on its points")
+    rows = _transversal(0, orbit, group.generators, n)
+    t = rows[np.argsort(rows[:, 0])]  # t[x] sends 0 to x
+    t_inv = np.empty_like(t)
+    np.put_along_axis(t_inv, t, np.arange(n)[None, :], axis=1)
+    # Each pass lowers label[y] to label[s(y)] for every Schreier generator
+    # s, one generator g at a time, then follows labels once.  A label is
+    # always a point of the same G_0-orbit and never above its own point; a
+    # pass that changes nothing leaves labels constant along every cycle of
+    # every s, hence on G_0-orbits, so each is its orbit's least point.
+    label = np.arange(n)
+    while True:
+        before = label
+        for g in group.generators:
+            a = np.asarray(g)
+            schreier = t_inv[a[:, None], a[t]]  # row x: t_{g(x)}^-1 g t_x
+            label = np.minimum(label, label[schreier].min(axis=0))
+        label = label[label]
+        if np.array_equal(label, before):
+            break
+    number = canonical_relabel(label)
+    r = int(number.max()) + 1
+    color = number[t_inv]
+    return validate(n, r, color, _scan_dual(color, r))
 
 
 def _is_prime(m: int) -> bool:
@@ -374,42 +329,53 @@ def _transversal(point: int, orbit, gens, n: int) -> np.ndarray:
     return np.stack([rows[y] for y in orbit])
 
 
-def _greedy_generators(elements, n: int) -> list[Perm]:
-    """The elements, in order, that the ones kept before them do not generate
-    (the identity alone for the trivial group).
+def _dimino(gens, n: int, limit: int | None = None) -> tuple[list[Perm], set[Perm]] | None:
+    """The generators kept and the elements of the group they generate;
+    None once that group has more than limit elements.
 
-    Each kept g extends the known subgroup H to <H, g> by Dimino's cosets:
-    the new group is the union of the cosets H.w that products of a
-    representative and a generator reach, so H is never closed again.
+    The kept generators are those, in order, that the ones kept before them
+    do not generate (the identity alone for the trivial group).  Each kept
+    g extends the known subgroup H to <H, g> by Dimino's cosets: the new
+    group is the union of the cosets H.w that products of a representative
+    and a generator reach, so H is never closed again.  A new coset adds
+    |H| elements, so limit is checked before it is built.
     """
     known = {identity_perm(n)}
     rows = np.arange(n)[None, :]  # the elements of H
-    gens: list[np.ndarray] = []
+    arrays: list[np.ndarray] = []
     kept: list[Perm] = []
-    for g in elements:
+    for g in gens:
         if g in known:
             continue
         kept.append(g)
-        gens.append(np.asarray(g))
+        arrays.append(np.asarray(g))
         cosets = [rows]
         reps = [np.arange(n)]
         for w in reps:  # grows while it is read
-            for s in gens:
+            for s in arrays:
                 x = s[w]  # apply w, then s
                 if tuple(x.tolist()) not in known:
+                    if limit is not None and len(known) + len(rows) > limit:
+                        return None
                     coset = x[rows]  # apply each element of H, then x
                     known.update(map(tuple, coset.tolist()))
                     cosets.append(coset)
                     reps.append(x)
         rows = np.concatenate(cosets)
-    return kept or [identity_perm(n)]
+    return kept or [identity_perm(n)], known
 
 
 def _rotations(scheme: Scheme, group: PermGroup, alpha: int, bound: int = DEFAULT_BOUND):
-    """Elements of G_alpha, sorted, of order 4 whose orbits off alpha are its rows."""
-    rows = {frozenset(int(y) for y in scheme.row(alpha, s)) for s in scheme.nondiagonal()}
+    """Elements of G_alpha, sorted, of order 4 whose orbits off alpha are its rows.
+
+    The rows partition the points off alpha, so the orbits of <g> off alpha
+    are the rows when the orbit of one point of each row is that row; the
+    order of g is then the lcm of the row sizes.
+    """
+    rows = [frozenset(int(y) for y in scheme.row(alpha, s)) for s in scheme.nondiagonal()]
+    order_four = math.lcm(*map(len, rows)) == 4
     return (g for g in stabilizer(group, (alpha,), bound)
-            if perm_order(g) == 4 and cycles_of(g, skip=(alpha,)) == rows)
+            if order_four and all(_orbit(min(row), [g]).keys() == row for row in rows))
 
 
 def sigma_alpha(scheme: Scheme, alpha: int, group: PermGroup | None = None,
@@ -491,18 +457,18 @@ def frobenius_witness(scheme: Scheme, group: PermGroup | None = None,
     ident = identity_perm(n)
     fpf = [g for g in elems if g != ident and not fixed_points(g)]
     candidates = []
-    kernel = set(fpf) | {ident}
-    if len(kernel) == n:
-        # the kernel is a subgroup exactly when its greedy generators close into it
-        kernel_gens = _greedy_generators(sorted(kernel), n)
-        if _closure(kernel_gens, n, n) == kernel:
-            candidates = [kernel_gens + [sigma] for sigma in rotations]
+    if len(fpf) == n - 1:
+        # the kernel's greedy generators close into a group holding it: the
+        # kernel itself exactly when that group has no more than n elements
+        closed = _dimino([ident] + fpf, n, n)
+        if closed is not None:
+            candidates = [closed[0] + [sigma] for sigma in rotations]
     candidates += [[sigma, tau] for sigma in rotations for tau in fpf]
     for gens in candidates:
-        closed = _closure(gens, n, 4 * n)
-        if closed is not None and len(closed) == 4 * n:
-            closed = tuple(sorted(closed))
-            witness = PermGroup(n, tuple(_greedy_generators(closed, n)), _elements=closed)
+        closed = _dimino(gens, n, 4 * n)
+        if closed is not None and len(closed[1]) == 4 * n:
+            elements = tuple(sorted(closed[1]))
+            witness = PermGroup(n, tuple(_dimino(elements, n)[0]), _elements=elements)
             cert = _certified(scheme, witness)
             if cert is not None:
                 return cert

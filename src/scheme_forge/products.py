@@ -193,10 +193,14 @@ def product_class(scheme: Scheme, pp: PhiPsi, s: int, t: int) -> ProductClass:
 
 @dataclass
 class StructureReport:
-    """Outcome of the full structure sweep: empty violations means pass."""
+    """Outcome of the full structure sweep: empty violations means pass.
+
+    pp is the phi/psi the sweep built, None when the square dichotomy fails.
+    """
 
     violations: list[str]
     checked: dict[str, int]
+    pp: PhiPsi | None
 
     @property
     def passed(self) -> bool:
@@ -322,4 +326,4 @@ def verify_structure_lemmas(scheme: Scheme) -> StructureReport:
         bound_pairs = len(s_split)
     checked["split-intersection-bound"] = bound_pairs
 
-    return StructureReport(violations, checked)
+    return StructureReport(violations, checked, pp)

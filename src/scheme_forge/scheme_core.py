@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autsearch import OutOfNodes, _levels, _orbit, _resolving_base
+from .autsearch import OutOfNodes, _levels, _orbits, _resolving_base
 
 
 class SchemeForgeError(Exception):
@@ -90,9 +90,6 @@ class Scheme:
     dual: np.ndarray
     tensor: IntersectionTensor
     valencies: np.ndarray
-
-    def color_of(self, x: int, y: int) -> int:
-        return int(self.color[x, y])
 
     def row(self, alpha: int, s: int) -> np.ndarray:
         """Points y with color(alpha, y) = s."""
@@ -218,13 +215,7 @@ def _orbit_minima(color: np.ndarray, r: int) -> list[int]:
             pass
     except OutOfNodes:
         pass
-    seen = np.zeros(n, dtype=bool)
-    minima = []
-    for x in range(n):
-        if not seen[x]:
-            minima.append(x)
-            seen[list(_orbit(x, gens))] = True
-    return minima
+    return [orbit[0] for orbit in _orbits(gens, n)]
 
 
 def validate(n: int, r: int, color, dual) -> Scheme:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -58,14 +60,32 @@ def c197():
 
 
 @pytest.fixture(scope="session")
-def f9():
+def f9_group():
     # F_9 = Z_3[i] with point a + 3b for a + bi: translations by 1 and by i,
     # then multiplication by i, (a, b) -> (-b, a)
     pts = [(a, b) for b in range(3) for a in range(3)]
     index = lambda a, b: a % 3 + 3 * (b % 3)
     gens = [tuple(index(a + 1, b) for a, b in pts), tuple(index(a, b + 1) for a, b in pts),
             tuple(index(-b, a) for a, b in pts)]
-    return sf.orbital_scheme(sf.PermGroup(9, tuple(gens)))
+    return sf.PermGroup(9, tuple(gens))
+
+
+@pytest.fixture(scope="session")
+def f9(f9_group):
+    return sf.orbital_scheme(f9_group)
+
+
+@pytest.fixture(scope="session")
+def f9_squared_group():
+    # F_9^2 as Z_3^4, multiplication by i on both F_9 coordinates: 81 points,
+    # 21 colors, with independent pairs among the 2u+v colors
+    pts = list(itertools.product(range(3), repeat=4))
+    index = {p: i for i, p in enumerate(pts)}
+    perm = lambda f: tuple(index[f(p)] for p in pts)
+    gens = [perm(lambda p, k=k: tuple((x + (j == k)) % 3 for j, x in enumerate(p)))
+            for k in range(4)]
+    gens.append(perm(lambda p: (-p[1] % 3, p[0], -p[3] % 3, p[2])))
+    return sf.PermGroup(81, tuple(gens))
 
 
 def _cayley_scheme_z4z4(connection):

@@ -323,6 +323,26 @@ def frobenius_by_definition(elements, n):
     return some_one_fixer
 
 
+def closure_by_bfs(gens, n, limit):
+    """Breadth-first closure of the generator set; None when limit is passed."""
+    ident = tuple(range(n))
+    elems = {ident}
+    frontier = [ident]
+    gen_list = [g for g in dict.fromkeys(gens) if g != ident]
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for g in gen_list:
+                b = groups.compose(a, g)
+                if b not in elems:
+                    elems.add(b)
+                    if limit is not None and len(elems) > limit:
+                        return None
+                    fresh.append(b)
+        frontier = fresh
+    return elems
+
+
 def orbital_partition(elements, n):
     """Pair partition into orbits of the diagonal action."""
     seen = {}
@@ -440,4 +460,4 @@ def structure_lemmas_by_pairs(scheme):
                         % (s, t, sorted(left & right))
                     )
     checked["split-intersection-bound"] = bound_pairs
-    return sf.StructureReport(violations, checked)
+    return sf.StructureReport(violations, checked, pp)

@@ -149,7 +149,8 @@ def test_criterion_5_automorphisms(battery, auts):
                     frozenset(int(x) for x in scheme.row(alpha, s))
                     for s in scheme.nondiagonal()
                 }
-                if set(groups.cycles_of(sigma, skip=(alpha,))) != rows:
+                cycles = set(map(frozenset, groups.orbits(sf.PermGroup(scheme.n, (sigma,)))))
+                if cycles != rows | {frozenset({alpha})}:
                     return False
         return True
 

@@ -26,9 +26,10 @@ def test_perm_order():
     assert sf.perm_order((0, 1, 2)) == 1
 
 
-def test_cycles_skip():
+def test_orbits_of_one_permutation():
     sigma = (0, 2, 3, 4, 1)
-    assert groups.cycles_of(sigma, skip=(0,)) == {frozenset({1, 2, 3, 4})}
+    assert groups.orbits(sf.PermGroup(5, (sigma,))) == ((0,), (1, 2, 3, 4))
+    assert groups.orbits(sf.PermGroup(4, ((2, 3, 0, 1),))) == ((0, 2), (1, 3))
 
 
 def test_enumerate_and_order():
@@ -96,9 +97,34 @@ def test_vector_frobenius_degree_cap():
 
 
 def test_orbital_scheme_needs_transitive():
-    stuck = sf.PermGroup(4, ((1, 0, 2, 3),))
-    with pytest.raises(sf.NotTransitive):
-        sf.orbital_scheme(stuck)
+    # the orbit of 0 misses a point: 0 moves, or 0 is fixed
+    for stuck in (sf.PermGroup(4, ((1, 0, 2, 3),)), sf.PermGroup(3, ((0, 2, 1),)),
+                  sf.PermGroup(2, ())):
+        with pytest.raises(sf.NotTransitive, match="^group is not transitive on its points$"):
+            sf.orbital_scheme(stuck)
+
+
+ORBITAL_GROUPS = {
+    "z5": lambda request: sf.cyclotomic_frobenius(5),
+    "z13": lambda request: sf.cyclotomic_frobenius(13),
+    "z17": lambda request: sf.cyclotomic_frobenius(17),
+    "z29": lambda request: sf.cyclotomic_frobenius(29),
+    "v25": lambda request: sf.vector_frobenius(5, 2),
+    "c53": lambda request: sf.cyclotomic_frobenius(53),
+    "f9": lambda request: request.getfixturevalue("f9_group"),
+    "f9_squared": lambda request: request.getfixturevalue("f9_squared_group"),
+    "sym5": lambda request: sf.PermGroup(5, ((1, 0, 2, 3, 4), (1, 2, 3, 4, 0))),
+    "point": lambda request: sf.PermGroup(1, ()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORBITAL_GROUPS))
+def test_orbital_scheme_matches_the_orbit_oracle(request, name):
+    # the oracle labels each orbit on pairs at its row-major least pair, as
+    # orbital_scheme numbers its colors
+    group = ORBITAL_GROUPS[name](request)
+    expected = oracles.orbital_partition(groups.enumerate_elements(group), group.degree)
+    assert sf.orbital_scheme(group).color.tolist() == expected
 
 
 def test_orbital_colors_are_orbits(z13):
@@ -232,7 +258,7 @@ def test_report_lists_no_automorphisms(request, name, monkeypatch):
 
     monkeypatch.setattr(groups, "automorphism_group", recording)
     monkeypatch.setattr(groups, "enumerate_elements", guarded)
-    for helper in ("_closure", "compose", "_greedy_generators"):
+    for helper in ("_dimino", "compose"):
         monkeypatch.setattr(groups, helper, refuse)
     statuses = {c.name: c.status for c in build_report(scheme, name).checks}
     assert len(found) == 1
@@ -260,13 +286,29 @@ def test_sigma_alpha_everywhere(z13, z17, z29, auts):
             assert sigma[alpha] == alpha
             assert sf.perm_order(sigma) == 4
             rows = {frozenset(int(x) for x in scheme.row(alpha, s)) for s in scheme.nondiagonal()}
-            assert set(groups.cycles_of(sigma, skip=(alpha,))) == rows
+            cycles = set(map(frozenset, groups.orbits(sf.PermGroup(scheme.n, (sigma,)))))
+            assert cycles == rows | {frozenset({alpha})}
 
 
 def test_sigma_alpha_is_minimal_choice(z13, auts):
     sigma = sf.sigma_alpha(z13, 0, group=auts["z13"])
     # multiplication by 5 is the lexicographically first qualifying map
     assert sigma == tuple((5 * x) % 13 for x in range(13))
+
+
+def test_rotations_cycle_every_row(z13):
+    # sigma rotates all three rows at 0, g only the row of 1; of the 16
+    # elements of <g, sigma>, those of order 4 whose cycles off 0 are the
+    # rows are g**i sigma**j with i even and j odd
+    sigma = tuple((5 * x) % 13 for x in range(13))
+    row = set(int(y) for y in z13.row(0, z13.color[0, 1]))
+    g = tuple(sigma[x] if x in row else x for x in range(13))
+    group = sf.PermGroup(13, (g, sigma))
+    rows = {frozenset(int(y) for y in z13.row(0, s)) for s in z13.nondiagonal()} | {frozenset({0})}
+    expected = [h for h in groups.enumerate_elements(group) if sf.perm_order(h) == 4
+                and set(map(frozenset, groups.orbits(sf.PermGroup(13, (h,))))) == rows]
+    assert len(expected) == 4
+    assert list(groups._rotations(z13, group, 0)) == expected
 
 
 # --- Frobenius property and witnesses ---
@@ -329,8 +371,7 @@ def test_aut_is_the_witness_without_closure(z13, v25, c53, auts, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("called")
 
-    for name in ("_closure", "compose", "fixed_points", "_greedy_generators",
-                 "frobenius_check", "validate"):
+    for name in ("_dimino", "compose", "fixed_points", "frobenius_check", "validate"):
         monkeypatch.setattr(groups, name, refuse)
     for scheme, aut in cases:
         cert = sf.frobenius_witness(scheme, group=aut)
@@ -485,9 +526,41 @@ def test_greedy_generators_match_closing_from_scratch(request, name):
     for g in elements:
         if g not in known:
             expected.append(g)
-            known = groups._closure(expected, scheme.n, None)
-    assert groups._greedy_generators(elements, scheme.n) == expected
-    assert groups._greedy_generators([groups.identity_perm(3)], 3) == [(0, 1, 2)]
+            known = oracles.closure_by_bfs(expected, scheme.n, None)
+    assert groups._dimino(elements, scheme.n) == (expected, set(elements))
+    assert groups._dimino([groups.identity_perm(3)], 3) == ([(0, 1, 2)], {(0, 1, 2)})
+
+
+def _random_generators(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 7))
+    return [tuple(rng.permutation(n).tolist()) for _ in range(int(rng.integers(0, 4)))], n
+
+
+@pytest.mark.parametrize("case", [*range(30), "sym5", "f9", "c53"])
+def test_dimino_matches_breadth_first_closure(request, case):
+    # the same elements as the oracle's closure, and None past the limit:
+    # with the limit at the group order, one below it, one above it, and a
+    # few fixed limits
+    if isinstance(case, int):
+        gens, n = _random_generators(case)
+    else:
+        group = ORBITAL_GROUPS[case](request)
+        gens, n = list(group.generators), group.degree
+    elements = oracles.closure_by_bfs(gens, n, None)
+    order = len(elements)
+    assert groups._dimino(gens, n)[1] == elements
+    for limit in (order - 1, order, order + 1, 1, 6, 24, 200):
+        closed = groups._dimino(gens, n, limit)
+        assert (None if closed is None else closed[1]) == oracles.closure_by_bfs(gens, n, limit)
+    # each generator kept is one the ones kept before it do not generate
+    kept, known = groups._dimino(gens, n)[0], {groups.identity_perm(n)}
+    for g in gens:
+        if g not in known:
+            assert kept[0] == g
+            kept = kept[1:]
+            known = oracles.closure_by_bfs(known | {g}, n, None)
+    assert kept in ([], [groups.identity_perm(n)])
 
 
 # --- .perm format ---

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import tracemalloc
 
 import numpy as np
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 
 import scheme_forge as sf
 from scheme_forge import products
-from scheme_forge.cli import run
+from scheme_forge.cli import build_report, run
 from scheme_forge.products import ProductClass
 
 import oracles
@@ -169,6 +168,31 @@ def test_corrupted_tensor_flags_violations(z13):
     assert any("square-dichotomy" in v for v in report.violations)
 
 
+def test_report_builds_phi_psi_once(z13, monkeypatch):
+    # the report reads phi/psi off the structure sweep
+    calls = []
+    build = products.phi_psi
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(products, "phi_psi", counting)
+    build_report(z13, "z13")
+    assert len(calls) == 1
+
+
+def test_report_names_the_failed_square(z13):
+    bumped = z13.tensor.c.copy()
+    bumped[1, 1, 2] += 1
+    broken = dataclasses.replace(z13, tensor=sf.IntersectionTensor(bumped))
+    with pytest.raises(sf.DichotomyViolation) as err:
+        sf.phi_psi(broken)
+    checks = {c.name: c for c in build_report(broken, "broken").checks}
+    assert (checks["square-dichotomy"].status, checks["square-dichotomy"].detail) == (
+        "fail", str(err.value))
+
+
 def test_four_product_partner_z17(z17):
     # rank 5: every non-diagonal color has a partner with a 4-color product
     for u in z17.nondiagonal():
@@ -195,16 +219,8 @@ def test_split_products_v25(v25):
 
 
 @pytest.fixture(scope="module")
-def f9_squared():
-    # F_9^2 as Z_3^4, multiplication by i on both F_9 coordinates: 81 points,
-    # 21 colors, with independent pairs among the 2u+v colors
-    pts = list(itertools.product(range(3), repeat=4))
-    index = {p: i for i, p in enumerate(pts)}
-    perm = lambda f: tuple(index[f(p)] for p in pts)
-    gens = [perm(lambda p, k=k: tuple((x + (j == k)) % 3 for j, x in enumerate(p)))
-            for k in range(4)]
-    gens.append(perm(lambda p: (-p[1] % 3, p[0], -p[3] % 3, p[2])))
-    return sf.orbital_scheme(sf.PermGroup(81, tuple(gens)))
+def f9_squared(f9_squared_group):
+    return sf.orbital_scheme(f9_squared_group)
 
 
 def _same_report(scheme):
@@ -212,6 +228,7 @@ def _same_report(scheme):
     expected = oracles.structure_lemmas_by_pairs(scheme)
     assert report.violations == expected.violations
     assert list(report.checked.items()) == list(expected.checked.items())
+    assert report.pp == expected.pp
     return report
 
 
