@@ -74,7 +74,6 @@ def _build_context(scheme: Scheme, source: str, bound: int, cutoff: int, radius:
     ctx: dict = {
         "scheme": scheme,
         "source": source,
-        "bound": bound,
         "cutoff": cutoff,
         "radius": radius,
         "k": scheme_core.is_k_equivalenced(scheme),
@@ -104,7 +103,7 @@ def _build_context(scheme: Scheme, source: str, bound: int, cutoff: int, radius:
             ctx["points"] = tuple(orbit[0] for orbit in groups.orbits(ctx["aut"]))
         if ctx["aut"] is not None and ctx["pp"] is not None and ctx["pp"].s3:
             for alpha in ctx["points"]:
-                ctx["sigma"][alpha] = groups.sigma_alpha(scheme, alpha, group=ctx["aut"])
+                ctx["sigma"][alpha] = groups.sigma_alpha(scheme, alpha, ctx["aut"])
         if ctx["pp"] is not None and ctx["pp"].s3:
             ctx["planes"] = _origin_planes(ctx)
         if scheme.r >= 3:
@@ -115,25 +114,28 @@ def _build_context(scheme: Scheme, source: str, bound: int, cutoff: int, radius:
     return ctx
 
 
-def _origin_planes(ctx) -> dict:
-    """The plane of each s3 color at point 0, or the detail of its failure.
+def _plane_base(scheme: Scheme, pp, sigma, s: int, alpha: int):
+    """The base of the plane of color s at alpha: from sigma_alpha when there
+    is one (so the plane's quarter turn is sigma's), else the first valid
+    base; None when there is neither."""
+    if sigma is not None:
+        return planes.sigma_base(scheme, sigma, s, alpha)
+    bases = planes.valid_bases(scheme, pp, s, alpha)
+    return bases[0] if bases else None
 
-    The base comes from sigma_0 when there is one (so the rotation and the
-    alignment checks read the same planes), else from the first valid base.
-    """
+
+def _origin_planes(ctx) -> dict:
+    """The plane of each s3 color at point 0, or the detail of its failure,
+    on the bases of _plane_base (so the rotation and the alignment checks
+    read the same planes)."""
     scheme = ctx["scheme"]
     pp = ctx["pp"]
-    sigma = ctx["sigma"].get(0)
     out: dict = {}
     for s in sorted(pp.s3):
-        if sigma is not None:
-            base = planes.sigma_base(scheme, sigma, s, 0)
-        else:
-            bases = planes.valid_bases(scheme, pp, s, 0)
-            if not bases:
-                out[s] = "color %d has no valid base at point 0" % s
-                continue
-            base = bases[0]
+        base = _plane_base(scheme, pp, ctx["sigma"].get(0), s, 0)
+        if base is None:
+            out[s] = "color %d has no valid base at point 0" % s
+            continue
         try:
             out[s] = planes.build_plane(scheme, pp, s, *base, radius=ctx["radius"])
         except SchemeForgeError as err:
@@ -274,7 +276,7 @@ def _check_rigidity(ctx):
         return NA, "needs common valency 4 and at least 3 non-diagonal colors"
     if ctx["aut"] is None:
         return NA, "skipped: %s" % ctx["aut_error"]
-    if groups.two_point_rigidity(ctx["scheme"], group=ctx["aut"]):
+    if groups.two_point_rigidity(ctx["scheme"], ctx["aut"]):
         return "pass", "only the identity fixes two points"
     return "fail", "a non-identity automorphism fixes two points"
 
@@ -284,7 +286,7 @@ def _check_witness(ctx):
         return NA, "needs common valency 4"
     if ctx["aut"] is None:
         return NA, "skipped: %s" % ctx["aut_error"]
-    cert = groups.frobenius_witness(ctx["scheme"], group=ctx["aut"], bound=ctx["bound"])
+    cert = groups.frobenius_witness(ctx["scheme"], ctx["aut"])
     if cert is None:
         return "fail", "no Frobenius subgroup reproduces the colors"
     return "pass", "witness of order %d = %d x %d, orbitals match" % (
@@ -535,18 +537,12 @@ def _cmd_plane(args) -> int:
             raise UsageError("--base needs four points: beta,gamma,delta,epsilon")
         base = (alpha, *parts)
     else:
-        try:
-            sigma = groups.sigma_alpha(scheme, alpha, bound=args.bound)
-        except groups.BoundExceeded:
-            sigma = None  # as the report does: take the first valid base below
-        if sigma is not None:
-            base = planes.sigma_base(scheme, sigma, args.s, alpha)
-        else:
-            bases = planes.valid_bases(scheme, pp, args.s, alpha)
-            if not bases:
-                print("no valid base for color %d at point %d" % (args.s, alpha))
-                return 1
-            base = bases[0]
+        aut = _automorphisms(scheme, args.bound)
+        sigma = None if aut is None else groups.sigma_alpha(scheme, alpha, aut)
+        base = _plane_base(scheme, pp, sigma, args.s, alpha)
+        if base is None:
+            print("no valid base for color %d at point %d" % (args.s, alpha))
+            return 1
     plane = planes.build_plane(scheme, pp, args.s, *base, radius=args.radius)
     invariant = planes.check_rotation_invariance(scheme, plane)
     if args.json:
@@ -574,11 +570,11 @@ def _cmd_plane(args) -> int:
     return 0 if invariant else 1
 
 
-def _automorphisms(scheme: Scheme):
-    """Aut under the default bound, which stops fission rounds early; None
-    past it."""
+def _automorphisms(scheme: Scheme, bound: int = groups.DEFAULT_BOUND):
+    """Aut, or None past bound: the commands that use Aut only to go faster
+    or to pick a base fall back to working without it."""
     try:
-        return groups.automorphism_group(scheme)
+        return groups.automorphism_group(scheme, bound)
     except groups.BoundExceeded:
         return None
 
@@ -628,17 +624,17 @@ def _cmd_base(args) -> int:
     return 0
 
 
-def _listed_generators(group, bound) -> tuple:
+def _listed_generators(group) -> tuple:
     """The greedy generators of the sorted elements, which are the same
     whatever search found the group."""
-    return tuple(groups._dimino(groups.enumerate_elements(group, bound), group.degree)[0])
+    return tuple(groups._dimino(groups.enumerate_elements(group), group.degree)[0])
 
 
 def _cmd_aut(args) -> int:
     scheme = scheme_core.load_asc(args.file)
     group = groups.automorphism_group(scheme, args.bound)
     order = groups.group_order(group)
-    gens = _listed_generators(group, args.bound)
+    gens = _listed_generators(group)
     if args.out:
         groups.save_perm(groups.PermGroup(scheme.n, gens), args.out)
     if args.json:
@@ -665,7 +661,7 @@ def _cmd_frobenius(args) -> int:
             print("frobenius: %s" % verdict)
         return 0 if verdict else 1
     scheme = scheme_core.load_asc(args.file)
-    cert = groups.frobenius_witness(scheme, bound=args.bound)
+    cert = groups.frobenius_witness(scheme, groups.automorphism_group(scheme, args.bound))
     if cert is None:
         if args.json:
             _emit_json({"witness": None})
@@ -680,7 +676,7 @@ def _cmd_frobenius(args) -> int:
                 "kernel_size": cert.kernel_size,
                 "stabilizer_order": cert.stabilizer_order,
                 "orbital_match": cert.orbital_match,
-                "generators": [list(g) for g in _listed_generators(cert.group, args.bound)],
+                "generators": [list(g) for g in _listed_generators(cert.group)],
             }
         )
     else:

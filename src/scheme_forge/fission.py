@@ -44,6 +44,7 @@ does not depend on the seed or on where the rounds stop.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -115,6 +116,7 @@ def _fibers_of(color: np.ndarray) -> tuple[tuple[int, ...], ...]:
     )
 
 
+@functools.cache  # trial division takes milliseconds; every fission at n reuses it
 def _modulus(n: int) -> int:
     """The largest prime p with n * (p - 1)**2 < 2**53."""
     p = math.isqrt((2**53 - 1) // n) + 1

@@ -132,15 +132,11 @@ def _sorted_perms(rows: np.ndarray) -> tuple[Perm, ...]:
 
 
 def enumerate_elements(group: PermGroup, bound: int = DEFAULT_BOUND) -> tuple[Perm, ...]:
-    """All elements, sorted; BoundExceeded if the group is larger than bound."""
+    """All elements, sorted.  A chain's search has already met its bound;
+    other groups are closed from their generators, BoundExceeded past bound."""
     if group._elements is None and group.chain is not None:
-        order = group_order(group)
-        if order > bound:
-            raise BoundExceeded("group has %d elements" % order)
         group._elements = _sorted_perms(_expand(group.chain.transversals, group.degree))
     if group._elements is not None:
-        if len(group._elements) > bound:
-            raise BoundExceeded("group has %d elements" % len(group._elements))
         return group._elements
     for g in group.generators:
         if sorted(g) != list(range(group.degree)):
@@ -152,14 +148,14 @@ def enumerate_elements(group: PermGroup, bound: int = DEFAULT_BOUND) -> tuple[Pe
     return group._elements
 
 
-def group_order(group: PermGroup, bound: int = DEFAULT_BOUND) -> int:
+def group_order(group: PermGroup) -> int:
     """The product of the transversal sizes for a chain, else the listed count."""
     if group.chain is not None:
         return math.prod(len(rows) for rows in group.chain.transversals)
-    return len(enumerate_elements(group, bound))
+    return len(enumerate_elements(group))
 
 
-def stabilizer(group: PermGroup, points, bound: int = DEFAULT_BOUND) -> tuple[Perm, ...]:
+def stabilizer(group: PermGroup, points) -> tuple[Perm, ...]:
     """The elements fixing every one of points, sorted.
 
     An automorphism group reads them off the levels below points of a
@@ -170,7 +166,7 @@ def stabilizer(group: PermGroup, points, bound: int = DEFAULT_BOUND) -> tuple[Pe
     points = tuple(points)
     chain = group.chain
     if chain is None:
-        return tuple(g for g in enumerate_elements(group, bound)
+        return tuple(g for g in enumerate_elements(group)
                      if all(g[p] == p for p in points))
     if chain.base[:len(points)] != points:
         chain = _search(chain.scheme, points, group_order(group))[0]
@@ -365,7 +361,7 @@ def _dimino(gens, n: int, limit: int | None = None) -> tuple[list[Perm], set[Per
     return kept or [identity_perm(n)], known
 
 
-def _rotations(scheme: Scheme, group: PermGroup, alpha: int, bound: int = DEFAULT_BOUND):
+def _rotations(scheme: Scheme, group: PermGroup, alpha: int):
     """Elements of G_alpha, sorted, of order 4 whose orbits off alpha are its rows.
 
     The rows partition the points off alpha, so the orbits of <g> off alpha
@@ -374,34 +370,30 @@ def _rotations(scheme: Scheme, group: PermGroup, alpha: int, bound: int = DEFAUL
     """
     rows = [frozenset(int(y) for y in scheme.row(alpha, s)) for s in scheme.nondiagonal()]
     order_four = math.lcm(*map(len, rows)) == 4
-    return (g for g in stabilizer(group, (alpha,), bound)
+    return (g for g in stabilizer(group, (alpha,))
             if order_four and all(_orbit(min(row), [g]).keys() == row for row in rows))
 
 
-def sigma_alpha(scheme: Scheme, alpha: int, group: PermGroup | None = None,
-                bound: int = DEFAULT_BOUND) -> Perm | None:
+def sigma_alpha(scheme: Scheme, alpha: int, group: PermGroup) -> Perm | None:
     """Order-4 automorphism fixing alpha whose orbits off alpha are its rows.
 
-    Scans the point stabiliser of alpha in sorted order, so the result is
-    deterministic.  None when no such automorphism exists.
+    Scans the point stabiliser of alpha in group, the scheme's automorphism
+    group, in sorted order, so the result is deterministic.  None when no
+    such automorphism exists.
     """
-    if group is None:
-        group = automorphism_group(scheme, bound)
-    return next(_rotations(scheme, group, alpha, bound), None)
+    return next(_rotations(scheme, group, alpha), None)
 
 
-def two_point_rigidity(scheme: Scheme, group: PermGroup | None = None,
-                       bound: int = DEFAULT_BOUND) -> bool:
-    """Only the identity automorphism fixes two or more points.
+def two_point_rigidity(scheme: Scheme, group: PermGroup) -> bool:
+    """Only the identity in group, the scheme's automorphism group, fixes
+    two or more points.
 
     An element fixing two points is conjugate to one in G_alpha, for alpha
     the least point of either one's orbit, so those stabilisers suffice.
     """
-    if group is None:
-        group = automorphism_group(scheme, bound)
     ident = identity_perm(scheme.n)
     return not any(g != ident and len(fixed_points(g)) >= 2
-                   for orbit in orbits(group) for g in stabilizer(group, orbit[:1], bound))
+                   for orbit in orbits(group) for g in stabilizer(group, orbit[:1]))
 
 
 @dataclass(frozen=True)
@@ -422,9 +414,9 @@ def _certified(scheme: Scheme, group: PermGroup) -> FrobeniusCertificate | None:
     return None
 
 
-def frobenius_witness(scheme: Scheme, group: PermGroup | None = None,
-                      bound: int = DEFAULT_BOUND) -> FrobeniusCertificate | None:
-    """Find a Frobenius subgroup of Aut whose orbitals are exactly the colors.
+def frobenius_witness(scheme: Scheme, group: PermGroup) -> FrobeniusCertificate | None:
+    """Find a Frobenius subgroup of group, the scheme's automorphism group,
+    whose orbitals are exactly the colors.
 
     Lemma.  In a 4-equivalenced scheme on n points, let H be a transitive
     group of 4n color-preserving permutations holding a rotation sigma at 0
@@ -445,15 +437,13 @@ def frobenius_witness(scheme: Scheme, group: PermGroup | None = None,
     fixed-point-free element (z5, F_9).
     """
     n = scheme.n
-    if group is None:
-        group = automorphism_group(scheme, bound)
-    rotations = list(_rotations(scheme, group, 0, bound))
+    rotations = list(_rotations(scheme, group, 0))
     if is_k_equivalenced(scheme) != 4 or not rotations:
         return None
-    if group_order(group, bound) == 4 * n:
+    if group_order(group) == 4 * n:
         return _certified(scheme, group)
 
-    elems = enumerate_elements(group, bound)
+    elems = enumerate_elements(group)
     ident = identity_perm(n)
     fpf = [g for g in elems if g != ident and not fixed_points(g)]
     candidates = []

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,7 +60,7 @@ def test_check_ok(z13_file, capsys):
 
 
 def test_check_corrupted_exits_1(tmp_path, z13_file, capsys):
-    lines = open(z13_file).read().splitlines()
+    lines = Path(z13_file).read_text().splitlines()
     rows = [line.split() for line in lines[1:]]
     rows[1][2], rows[2][1] = "3", "3"
     bad = tmp_path / "bad.asc"
@@ -213,6 +214,44 @@ def test_frobenius_on_scheme(z13_file, capsys):
     assert payload["orbital_match"] is True
 
 
+def test_frobenius_past_the_bound_exits_1(z13_file, capsys):
+    assert run(["frobenius", z13_file, "--bound", "10"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "BoundExceeded: more than 10 automorphisms\n"
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The schemes whose automorphism group is searched, one per call."""
+    found = []
+    search = groups.automorphism_group
+
+    def recording(scheme, *args, **kwargs):
+        found.append(scheme.n)
+        return search(scheme, *args, **kwargs)
+
+    monkeypatch.setattr(groups, "automorphism_group", recording)
+    return found
+
+
+@pytest.mark.parametrize("argv", (["report"], ["plane", "--s", "1"], ["fission", "--points", "0"],
+                                  ["base"], ["aut"], ["frobenius"]))
+def test_each_command_searches_aut_once(z13_file, capsys, searches, argv):
+    assert run([argv[0], z13_file, *argv[1:], "--json"]) == 0
+    assert searches == [13]
+
+
+def test_group_functions_read_the_group_they_are_given(z13, auts, searches):
+    aut = auts["z13"]
+    assert sf.sigma_alpha(z13, 0, aut) is not None
+    assert sf.two_point_rigidity(z13, aut)
+    assert sf.frobenius_witness(z13, aut) is not None
+    assert not sf.point_fission(z13, (0,), aut).is_complete
+    assert sf.find_base(z13, group=aut) == (2, (0, 1))
+    assert searches == []
+
+
 def test_frobenius_on_group(tmp_path, capsys):
     perm = tmp_path / "g.perm"
     sf.save_perm(sf.cyclotomic_frobenius(17), str(perm))
@@ -241,7 +280,7 @@ def test_report_passes(z13_file, capsys):
 
 
 def test_report_fails_on_corruption(tmp_path, z13_file, capsys):
-    lines = open(z13_file).read().splitlines()
+    lines = Path(z13_file).read_text().splitlines()
     rows = [line.split() for line in lines[1:]]
     rows[1][2], rows[2][1] = "3", "3"
     bad = tmp_path / "bad.asc"

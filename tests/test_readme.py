@@ -1,0 +1,18 @@
+"""README's library example, run as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_library_example_runs_and_states_true_values():
+    text = README.read_text(encoding="utf-8")
+    (block,) = re.findall(r"## Library example\n\n```python\n(.*?)```", text, re.S)
+    names: dict = {}
+    exec(compile(block, str(README), "exec"), names)
+    scheme, pp = names["scheme"], names["pp"]
+    assert (scheme.n, scheme.r, names["sf"].is_k_equivalenced(scheme)) == (13, 4, 4)
+    assert (pp.phi, pp.psi) == ((0, 3, 1, 2), (0, 2, 3, 1))
+    assert names["sf"].group_order(names["aut"]) == 52
+    assert names["cert"].kernel_size == 13
