@@ -339,7 +339,7 @@ def _check_base_number(ctx):
         )
     try:
         size, witness = fission.find_base(
-            scheme, ctx["cutoff"], group=ctx["aut"], fissions=ctx["fissions"]
+            scheme, ctx["cutoff"], group=ctx["aut"], fissions=ctx["fissions"], pp=pp
         )
     except fission.CutoffExceeded:
         return NA, "recorded: base number exceeds cutoff %d" % ctx["cutoff"]
@@ -670,13 +670,18 @@ def _cmd_frobenius(args) -> int:
         return 1
     order = cert.kernel_size * cert.stabilizer_order
     if args.json:
+        # a witness without a chain was built from its sorted elements with
+        # their greedy generators; Aut itself (|Aut| = 4n) has strong ones
+        gens = cert.group.generators
+        if cert.group.chain is not None:
+            gens = _listed_generators(cert.group)
         _emit_json(
             {
                 "order": order,
                 "kernel_size": cert.kernel_size,
                 "stabilizer_order": cert.stabilizer_order,
                 "orbital_match": cert.orbital_match,
-                "generators": [list(g) for g in _listed_generators(cert.group)],
+                "generators": [list(g) for g in gens],
             }
         )
     else:

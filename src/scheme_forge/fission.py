@@ -40,6 +40,27 @@ equal codes, so the split keeps the coloring coarser than W (and
 G-invariant, as the codes are) and gains a color whatever the draw.
 Colors are numbered by first occurrence in row-major order, so the matrix
 does not depend on the seed or on where the rounds stop.
+
+point_fission first tries to certify a complete fission by color
+refinement on points (Babai-Erdos-Selkow, Immerman-Lander), which costs
+O(n**2) a round against O(n**3) for a WL round.  Cells start from the
+split points, each alone, and the rest; each round keys every point x by
+its cell and
+
+    h(x) = sum_z R1[c(x,z)] * R2[cell(z)]  mod p,
+
+one matrix-vector product, exact for the same p as above.  The fibers of
+W form an equitable partition that refines the split points: a fiber's
+points see the same number of points of each fiber along each color.
+Color refinement returns the coarsest such partition, and a hashed key
+can only merge what true refinement splits, never split what it keeps
+together, so every round stays at least as coarse as W's fibers.  When
+the cells reach n, every fiber is one point, so every pair is its own
+color: W is complete, with matrix x * n + y by first occurrence and
+fibers (0,), ..., (n-1,).  A round that adds no cell proves nothing, and
+the WL rounds run as before.  The refinement is tried only when the
+pair-orbit bound is n**2: an automorphism other than the identity fixing
+the split points keeps W from being complete.
 """
 
 from __future__ import annotations
@@ -61,7 +82,7 @@ from .scheme_core import (
     canonical_relabel,
 )
 from .groups import PermGroup, orbits, stabilizer
-from .products import phi_psi
+from .products import PhiPsi, phi_psi
 
 DEFAULT_CUTOFF = 3
 
@@ -169,6 +190,31 @@ def wl_stabilize(matrix, bound: int | None = None) -> CoherentConfiguration:
     return CoherentConfiguration(n, color, num, _fibers_of(color))
 
 
+def _refines_to_points(scheme: Scheme, marker: np.ndarray) -> bool:
+    """True when color refinement from the marker's cells reaches one point
+    per cell; False when a round adds no cell (see the module docstring)."""
+    n, color = scheme.n, scheme.color
+    cells, num_cells = _first_occurrence_rank(marker)
+    p = _modulus(n)
+    rng = np.random.default_rng(_SEED)
+    while num_cells < n:
+        left = rng.integers(0, p, size=scheme.r).astype(np.float64)
+        right = rng.integers(0, p, size=num_cells).astype(np.float64)
+        # every partial sum is an integer below n * (p - 1)**2 < 2**53, so exact
+        h = np.fmod(left[color] @ right[cells], p).astype(np.int64)
+        cells, new_num = _first_occurrence_rank(cells * p + h)
+        if new_num == num_cells:
+            return False
+        num_cells = new_num
+    return True
+
+
+def _complete_configuration(n: int) -> CoherentConfiguration:
+    color = np.arange(n * n, dtype=np.int64).reshape(n, n)
+    color.setflags(write=False)
+    return CoherentConfiguration(n, color, n * n, tuple((x,) for x in range(n)))
+
+
 def _pair_orbit_count(scheme: Scheme, delta, group: PermGroup | None) -> int:
     """Orbits on pairs of the automorphisms in group fixing every point of
     delta, by Burnside: the sum of fix(g)**2 over |G_delta|.  n**2 unless
@@ -190,7 +236,9 @@ def point_fission(scheme: Scheme, points, group: PermGroup | None = None,
     """Smallest stable refinement in which every given point is its own fiber.
 
     Given the automorphism group, the rounds stop at the orbit count of
-    its pointwise stabiliser of the points (see the module docstring).
+    its pointwise stabiliser of the points.  When that count is n**2, a
+    point refinement that ends with one point per cell certifies the
+    complete fission without a WL round (see the module docstring).
     """
     delta = sorted(set(int(p) for p in points))
     if not delta:
@@ -200,9 +248,12 @@ def point_fission(scheme: Scheme, points, group: PermGroup | None = None,
     marker = np.zeros(scheme.n, dtype=np.int64)
     for rank, p in enumerate(delta, start=1):
         marker[p] = rank
+    bound = _pair_orbit_count(scheme, delta, group)
+    if bound == scheme.n * scheme.n and _refines_to_points(scheme, marker):
+        return _complete_configuration(scheme.n)
     m = np.int64(len(delta) + 1)
     seed = (scheme.color * m + marker[:, None]) * m + marker[None, :]
-    return wl_stabilize(seed, _pair_orbit_count(scheme, delta, group))
+    return wl_stabilize(seed, bound)
 
 
 def validate_configuration(cc: CoherentConfiguration) -> None:
@@ -296,7 +347,7 @@ def _orbit_least_sets(n: int, size: int, fixers, prefix: tuple[int, ...] = ()):
 
 def find_base(scheme: Scheme, cutoff: int = DEFAULT_CUTOFF, group: PermGroup | None = None,
               fissions: dict[int, CoherentConfiguration] | None = None,
-              ) -> tuple[int, tuple[int, ...]]:
+              pp: PhiPsi | None = None) -> tuple[int, tuple[int, ...]]:
     """Smallest point set whose fission is complete, with its witness.
 
     Sizes are tried in increasing order, sets in lexicographic order
@@ -308,7 +359,7 @@ def find_base(scheme: Scheme, cutoff: int = DEFAULT_CUTOFF, group: PermGroup | N
     doubled-square pairs, so the witness is the same as without it.  An
     automorphism group also stops each fission's rounds early (see
     point_fission).  fissions maps points to one-point fissions that are
-    already built.
+    already built, and pp is the scheme's phi/psi when already built.
     """
     if scheme.n == 1:
         return 0, ()
@@ -323,7 +374,7 @@ def find_base(scheme: Scheme, cutoff: int = DEFAULT_CUTOFF, group: PermGroup | N
                           scheme.n, size, stabilizer(group, orbit[:1]), orbit[:1]))
         if size == 2:
             try:
-                doubled = phi_psi(scheme).s2
+                doubled = (phi_psi(scheme) if pp is None else pp).s2
             except SchemeForgeError:
                 doubled = ()
             candidates = sorted(candidates, key=lambda p: int(scheme.color[p]) not in doubled)

@@ -252,12 +252,17 @@ def wl_by_sorted_paths(matrix):
         num = len(uniq)
 
 
-def point_fission_by_sorted_paths(scheme, points):
-    """wl_by_sorted_paths on the scheme's colors, each given point individualized."""
+def individualized(scheme, points):
+    """The scheme's colors with each given point individualized."""
     marker = np.zeros(scheme.n, dtype=np.int64)
     marker[list(points)] = np.arange(1, len(points) + 1)
     m = len(points) + 1
-    return wl_by_sorted_paths((scheme.color * m + marker[:, None]) * m + marker[None, :])
+    return (scheme.color * m + marker[:, None]) * m + marker[None, :]
+
+
+def point_fission_by_sorted_paths(scheme, points):
+    """wl_by_sorted_paths on the scheme's colors, each given point individualized."""
+    return wl_by_sorted_paths(individualized(scheme, points))
 
 
 def wl_partition_by_dicts(color):

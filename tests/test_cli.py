@@ -14,8 +14,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import scheme_forge as sf
-from scheme_forge import fission, groups, planes
-from scheme_forge.cli import run
+from scheme_forge import fission, groups, planes, products
+from scheme_forge.cli import build_report, run
 
 import oracles
 
@@ -250,6 +250,23 @@ def test_group_functions_read_the_group_they_are_given(z13, auts, searches):
     assert not sf.point_fission(z13, (0,), aut).is_complete
     assert sf.find_base(z13, group=aut) == (2, (0, 1))
     assert searches == []
+
+
+@pytest.mark.parametrize("name", ("z13", "c101"))
+def test_report_builds_phi_psi_once(request, monkeypatch, name):
+    # c101 has no doubled square, so its base number comes from find_base
+    builds = []
+    original = products.phi_psi
+
+    def recording(scheme):
+        builds.append(scheme.n)
+        return original(scheme)
+
+    monkeypatch.setattr(products, "phi_psi", recording)
+    monkeypatch.setattr(fission, "phi_psi", recording)
+    scheme = request.getfixturevalue(name)
+    build_report(scheme, name)
+    assert builds == [scheme.n]
 
 
 def test_frobenius_on_group(tmp_path, capsys):

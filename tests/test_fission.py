@@ -39,6 +39,21 @@ def test_fissions_match_sorted_path_oracle(ladder, name):
             assert cc.num_colors == int(expected.max()) + 1
 
 
+def _spy(monkeypatch, name, record=lambda args, result: result):
+    """Replace fission.<name> by a wrapper that appends record(args, result)
+    for each call, the result by default; returns the list."""
+    seen = []
+    original = getattr(fission, name)
+
+    def recording(*args):
+        result = original(*args)
+        seen.append(record(args, result))
+        return result
+
+    monkeypatch.setattr(fission, name, recording)
+    return seen
+
+
 @pytest.mark.parametrize("modulus", (1, 3))
 def test_colliding_evaluations_fall_back_to_exact_splits(ladder, modulus, monkeypatch):
     # modulo 3 the random evaluations collide often; modulo 1 they are all
@@ -54,6 +69,7 @@ def test_colliding_evaluations_fall_back_to_exact_splits(ladder, modulus, monkey
 
     monkeypatch.setattr(fission, "_modulus", lambda n: modulus)
     monkeypatch.setattr(fission, "_unstable_pairs", recording)
+    certified = _spy(monkeypatch, "_refines_to_points")
     for name in ("z13", "z17", "v25", "c53"):
         scheme = ladder[name]
         aut = sf.automorphism_group(scheme)
@@ -63,7 +79,72 @@ def test_colliding_evaluations_fall_back_to_exact_splits(ladder, modulus, monkey
                 cc = sf.point_fission(scheme, points, group)
                 assert np.array_equal(cc.color, expected), (name, points, group)
     if modulus == 1:
+        # every point refinement hashes to 0 and stalls, so the patch reached it
         assert any(found)
+        assert certified and not any(certified)
+
+
+def _same_configuration(cc, expected):
+    return (np.array_equal(cc.color, expected.color) and cc.num_colors == expected.num_colors
+            and cc.fibers == expected.fibers)
+
+
+@pytest.mark.parametrize("name", ("z5", "z13", "z17", "z29", "v25", "c53"))
+def test_point_refinement_certifies_complete_pairs(ladder, monkeypatch, name):
+    # Aut is transitive, so every pair is carried by an automorphism onto a
+    # pair (0, y), and its fission onto that pair's: the pairs from 0 meet
+    # every orbit of pairs, complete or not
+    scheme = ladder[name]
+    n = scheme.n
+    aut = sf.automorphism_group(scheme)
+    assert groups.is_transitive(aut)
+    certified = _spy(monkeypatch, "_refines_to_points")
+    complete = 0
+    for y in range(1, n):
+        expected = sf.wl_stabilize(oracles.individualized(scheme, (0, y)))
+        assert np.array_equal(expected.color, oracles.point_fission_by_sorted_paths(scheme, (0, y)))
+        for group in (None, aut):
+            cc = sf.point_fission(scheme, (0, y), group)
+            assert _same_configuration(cc, expected), (y, group)
+        if expected.is_complete:
+            complete += 1
+            sf.validate_configuration(cc)
+    # base number 2 at every pair past rank 2; z5 has none complete
+    assert complete == (n - 1 if scheme.r >= 3 else 0)
+    assert certified.count(True) == 2 * complete
+
+
+def test_report_and_base_certify_pairs_without_full_wl(c197, v25, tmp_path, capsys,
+                                                       monkeypatch):
+    bounds = _spy(monkeypatch, "wl_stabilize", lambda args, result: args[1])
+    certified = _spy(monkeypatch, "_refines_to_points")
+    report = build_report(c197, "c197")
+    assert {c.status for c in report.checks} <= {"pass", sf.cli.NA}
+    assert c197.n ** 2 not in bounds and True in certified
+    bounds.clear()
+    certified.clear()
+    path = tmp_path / "v25.asc"
+    sf.save_asc(v25, str(path))
+    assert run(["base", str(path)]) == 0
+    assert "base number: 2" in capsys.readouterr().out
+    assert v25.n ** 2 not in bounds and certified == [True]
+
+
+def test_point_refinement_stalls_without_a_base_of_two(f9, monkeypatch):
+    # K_12 has every pair in one orbit of Sym(12), and F_9 has base number
+    # 3: no pair fission is complete, so the refinement stalls and the WL
+    # rounds give the same matrix as without it
+    k12 = sf.from_matrix(np.ones((12, 12), dtype=np.int64) - np.eye(12, dtype=np.int64))
+    certified = _spy(monkeypatch, "_refines_to_points")
+    bounds = _spy(monkeypatch, "wl_stabilize", lambda args, result: args[1])
+    pairs = [(k12, (0, 1)), (k12, (3, 7))] + [(f9, (0, y)) for y in range(1, 9)]
+    for scheme, points in pairs:
+        cc = sf.point_fission(scheme, points)
+        assert not cc.is_complete
+        assert np.array_equal(cc.color, oracles.point_fission_by_sorted_paths(scheme, points))
+        assert _same_configuration(cc, sf.wl_stabilize(oracles.individualized(scheme, points)))
+    assert certified == [False] * len(pairs)
+    assert bounds == [scheme.n ** 2 for scheme, _ in pairs]
 
 
 @pytest.mark.parametrize("name", LADDER)

@@ -516,6 +516,24 @@ def test_aut_json_is_unchanged(battery, tmp_path, capsys):
     assert _json_digests("aut", battery, tmp_path, capsys) == AUT_JSON_SHA256
 
 
+def test_frobenius_json_closes_the_witness_once(z5, tmp_path, capsys, monkeypatch):
+    # |Aut(z5)| = 120 != 20: the witness holds the greedy generators of its
+    # sorted elements, which the listing reuses instead of closing them again
+    closed = []
+    original = groups._dimino
+
+    def recording(gens, n, limit=None):
+        closed.append(len(gens))
+        return original(gens, n, limit)
+
+    monkeypatch.setattr(groups, "_dimino", recording)
+    path = tmp_path / "z5.asc"
+    sf.save_asc(z5, str(path))
+    assert run(["frobenius", str(path), "--json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == FROBENIUS_JSON_SHA256["z5"]
+    assert closed.count(20) == 1
+
+
 @pytest.mark.parametrize("name", ("z5", "v25", "f9", "rook"))
 def test_greedy_generators_match_closing_from_scratch(request, name):
     # keep each element that the ones kept before it do not generate,
