@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -12,10 +11,12 @@ from .scheme_core import Scheme, is_k_equivalenced
 from .products import NotFourEquivalenced
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockDesign:
+    """n points and a (b, k) int array, one block per row."""
+
     n: int
-    blocks: tuple[frozenset[int], ...]
+    blocks: np.ndarray
 
 
 def scheme_to_design(scheme: Scheme) -> BlockDesign:
@@ -29,26 +30,31 @@ def scheme_to_design(scheme: Scheme) -> BlockDesign:
     # a stable sort of each row lists its points by color, the point itself
     # (color 0) first, then four points per non-diagonal color in order
     rows = np.argsort(scheme.color, axis=1, kind="stable")[:, 1:].reshape(-1, 4)
-    return BlockDesign(scheme.n, tuple(map(frozenset, rows.tolist())))
+    rows.setflags(write=False)
+    return BlockDesign(scheme.n, rows)
 
 
-def verify_design(design: BlockDesign, t: int = 2, k: int = 4, lam: int = 3) -> bool:
-    """Every block has k points and every t-set lies in exactly lam blocks.
+def verify_design(design: BlockDesign, k: int = 4, lam: int = 3) -> bool:
+    """Every block has k distinct points and every pair lies in exactly lam blocks.
 
-    The t-subsets of each sorted block are counted by their mixed-radix
-    codes, sum of x_j * n**(t - 1 - j), which are distinct for distinct sets.
+    The pairs of each sorted block are counted by their codes x * n + y
+    (x < y), which are distinct for distinct pairs.  The counting identity
+    b * C(k, 2) == lam * C(n, 2), which every 2-design meets, is checked
+    with lam >= 1 before any code is built.  When it holds there are
+    lam * C(n, 2) codes, so an n with n**2 >= 2**63 would need more than
+    2**61 of them: allocating them fails before any int64 product can wrap.
     """
-    if any(len(b) != k for b in design.blocks):
+    points = np.asarray(design.blocks)
+    if points.ndim != 2 or points.shape[1] != k or points.dtype.kind not in "iu":
         return False
     n = design.n
-    points = np.sort(np.array([list(b) for b in design.blocks], dtype=np.int64)
-                     .reshape(len(design.blocks), k), axis=1)
-    if points.size and (points.min() < 0 or points.max() >= n):
+    if lam < 1 or len(points) * math.comb(k, 2) != lam * math.comb(n, 2):
         return False
-    dtype = np.int64 if n**t < 2**63 else object
-    weights = np.array([n ** (t - 1 - j) for j in range(t)], dtype=dtype)
-    subsets = np.array(list(itertools.combinations(range(k), t)),
-                       dtype=np.intp).reshape(math.comb(k, t), t)
-    codes = points[:, subsets].astype(dtype) @ weights
-    _, counts = np.unique(codes, return_counts=True)
-    return len(counts) == math.comb(n, t) and bool((counts == lam).all())
+    if ((points < 0) | (points >= n)).any():
+        return False
+    points = np.sort(points, axis=1).astype(np.int64, copy=False)
+    if (points[:, 1:] == points[:, :-1]).any():
+        return False
+    first, second = np.triu_indices(k, 1)
+    _, counts = np.unique(points[:, first] * n + points[:, second], return_counts=True)
+    return len(counts) == math.comb(n, 2) and bool((counts == lam).all())

@@ -12,6 +12,7 @@ is the horizontal rule transported by a quarter turn.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,28 +215,18 @@ def valid_bases(scheme: Scheme, pp: PhiPsi, s: int, alpha: int):
     """All distinct 4-tuples from the s-row of alpha satisfying the premise."""
     row = [int(y) for y in scheme.row(alpha, s)]
     psi_s = pp.psi[s]
-    out = []
-    for beta in row:
-        for gamma in row:
-            if gamma == beta:
-                continue
-            for delta in row:
-                if delta in (beta, gamma) or scheme.color[beta, delta] != psi_s:
-                    continue
-                for epsilon in row:
-                    if epsilon in (beta, gamma, delta):
-                        continue
-                    if scheme.color[gamma, epsilon] == psi_s:
-                        out.append((alpha, beta, gamma, delta, epsilon))
-    return out
+    return [
+        (alpha, beta, gamma, delta, epsilon)
+        for beta, gamma, delta, epsilon in itertools.permutations(row, 4)
+        if scheme.color[beta, delta] == psi_s == scheme.color[gamma, epsilon]
+    ]
 
 
-def sigma_base(scheme: Scheme, sigma, s: int, alpha: int, beta: int | None = None):
+def sigma_base(scheme: Scheme, sigma, s: int, alpha: int):
     """Base aligned with a rotation automorphism: (beta, sigma beta, ...)."""
     if sigma[alpha] != alpha:
         raise InvalidBase("rotation does not fix point %d" % alpha)
-    if beta is None:
-        beta = int(scheme.row(alpha, s)[0])
+    beta = int(scheme.row(alpha, s)[0])
     gamma = sigma[beta]
     delta = sigma[gamma]
     epsilon = sigma[delta]

@@ -204,7 +204,7 @@ def test_criterion_8_designs(battery):
     def check():
         for scheme in battery.values():
             design = sf.scheme_to_design(scheme)
-            if not sf.verify_design(design, t=2, k=4, lam=3):
+            if not sf.verify_design(design, k=4, lam=3):
                 return False
             if not oracles.blocks_by_pair_count(design, t=2, lam=3):
                 return False
