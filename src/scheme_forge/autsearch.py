@@ -12,7 +12,11 @@ n x n pairs before it counts as an automorphism.  Levels are filled from
 the deepest up: at level i, each image y of base[i] that the colors allow
 and that the generators found so far do not already reach gets one
 depth-first search for a single automorphism fixing base[:i] and sending
-base[i] to y.
+base[i] to y.  A search node carries the cells of the points: for each
+point, the class of base codes that its colors from the node's images
+match.  A child finds its own cells from its parent's by one table lookup,
+so a stack pop costs O(n) however deep the base, and at a leaf the cells
+name each point's preimage.
 
 The chain search runs without a limit.  Validation caps its search at n
 stack pops in all, shared by every depth-first search through one
@@ -49,27 +53,49 @@ def _resolving_base(color: np.ndarray, r: int, prefix=()) -> list[int]:
     return base
 
 
-def _candidates(color: np.ndarray, base, images) -> list[int]:
-    """The points whose colors from images match those of base[len(images)]
-    from base[:len(images)]: the images that base point may take."""
-    k = len(images)
-    wanted = color[base[:k], base[k]]
-    return np.nonzero((color[images, :] == wanted[:, None]).all(axis=0))[0].tolist()
+def _code_cells(color: np.ndarray, base) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The cells of the points by their colors from each prefix of base, and
+    the steps between them.
+
+    cells[k] numbers the points by their colors from base[:k]; the last
+    numbers each point by itself, as the base resolves.  steps[k] carries a
+    point's cell in cells[k] and its color from base[k] to its cell in
+    cells[k + 1]: -1 where no point has that pair, and a last row of -1
+    that keeps -1 at -1.
+    """
+    n, r = len(color), int(color.max()) + 1
+    cells = [np.zeros(n, dtype=np.intp)]
+    steps = []
+    for k, b in enumerate(base):
+        if k + 1 < len(base):
+            below = np.unique(cells[k] * r + color[b], return_inverse=True)[1].reshape(n)
+        else:
+            below = np.arange(n)
+        step = np.full((int(cells[k].max()) + 2, r), -1, dtype=np.intp)
+        step[cells[k], color[b]] = below
+        cells.append(below)
+        steps.append(step)
+    return cells, steps
 
 
-def _forced_map(color: np.ndarray, images, key_order, sorted_keys) -> list[int] | None:
+def _descend(step: np.ndarray, parent: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Each point's cell one level down: from its cell under the parent's
+    images and its colors row from the new image, by one lookup in step."""
+    return step[parent, row]
+
+
+def _forced_map(color: np.ndarray, labels: np.ndarray) -> list[int] | None:
     """The map that images of the whole base force, if it is an automorphism.
 
-    x goes to the point whose colors from the base images equal its own
-    colors from the base; the map is checked on all n x n pairs.
+    labels[y] is the point whose colors from the base equal y's colors from
+    the images, or -1.  That point goes to y, when this pairs all points;
+    the map is checked on all n x n pairs.
     """
-    found = color[images, :]
-    order = np.lexsort(found[::-1])
-    if not np.array_equal(found[:, order], sorted_keys):
+    if labels.min() < 0:
         return None
-    img = np.empty(len(color), dtype=np.intp)
-    img[key_order] = order
-    if np.array_equal(color[np.ix_(img, img)], color):
+    img = np.full(len(color), -1, dtype=np.intp)
+    img[labels] = np.arange(len(color))
+    if img.min() >= 0 and np.array_equal(color[np.ix_(img, img)], color):
         return img.tolist()
     return None
 
@@ -78,25 +104,32 @@ class OutOfNodes(Exception):
     """A capped search used up its stack pops."""
 
 
-def _first_automorphism(color, base, images, key_order, sorted_keys,
+def _first_automorphism(color, base, cells, steps, level: int, y: int,
                         nodes=None) -> list[int] | None:
-    """The first automorphism, depth first, sending base[:len(images)] to images.
+    """The first automorphism, depth first, fixing base[:level] and sending
+    base[level] to y.
 
-    Each stack pop takes one item of the iterator nodes, which the calls
-    of one search share: OutOfNodes when it runs dry.  Without nodes there
-    is no limit.
+    A stack node is an image of base[k], pushed with its parent's cells:
+    for each point, the cell in cells[k] of the base codes that its colors
+    from the parent's images match, or -1.  A pop finds its own cells by
+    one O(n) lookup in steps[k]; the images of base[k + 1] are then the
+    points in the cell of base[k + 1].  Each stack pop takes one item of
+    the iterator nodes, which the calls of one search share: OutOfNodes
+    when it runs dry.  Without nodes there is no limit.
     """
-    stack = [images]
+    stack = [(level, y, cells[level])]
     while stack:
         if nodes is not None and next(nodes, None) is None:
             raise OutOfNodes
-        partial = stack.pop()
-        if len(partial) < len(base):
-            stack.extend(partial + [y] for y in reversed(_candidates(color, base, partial)))
+        k, image, parent = stack.pop()
+        labels = _descend(steps[k], parent, color[image])
+        if k + 1 == len(base):
+            img = _forced_map(color, labels)
+            if img is not None:
+                return img
             continue
-        img = _forced_map(color, partial, key_order, sorted_keys)
-        if img is not None:
-            return img
+        images = np.flatnonzero(labels == cells[k + 1][base[k + 1]]).tolist()
+        stack.extend((k + 1, z, labels) for z in reversed(images))
     return None
 
 
@@ -133,15 +166,14 @@ def _levels(color: np.ndarray, base, gens: list, nodes=None):
     automorphisms found so far, which fix base[:i].  nodes limits the
     search as in _first_automorphism.
     """
-    key_order = np.lexsort(color[base, :][::-1])
-    sorted_keys = color[base, :][:, key_order]
+    cells, steps = _code_cells(color, base)
     for i in reversed(range(len(base))):
-        fixed = base[:i]
         orbit = _orbit(base[i], gens)
-        for y in _candidates(color, base, fixed):
+        # the images of base[i] that the colors from base[:i] allow
+        for y in np.flatnonzero(cells[i] == cells[i][base[i]]).tolist():
             if y in orbit:
                 continue
-            g = _first_automorphism(color, base, fixed + [y], key_order, sorted_keys, nodes)
+            g = _first_automorphism(color, base, cells, steps, i, y, nodes)
             if g is not None:
                 gens.append(g)
                 orbit = _orbit(base[i], gens)

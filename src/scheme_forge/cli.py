@@ -796,6 +796,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_limits(args) -> None:
+    """--bound and --cutoff, where a command takes them, are counts."""
+    if getattr(args, "bound", 1) < 1:
+        raise UsageError("--bound must be at least 1")
+    if getattr(args, "cutoff", 0) < 0:
+        raise UsageError("--cutoff must be at least 0")
+
+
 def run(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -808,6 +816,7 @@ def run(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
+        _check_limits(args)
         return func(args)
     except UsageError as err:
         print("usage error: %s" % err, file=sys.stderr)

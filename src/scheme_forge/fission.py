@@ -28,8 +28,7 @@ trivial group).  Every coloring on the way is G-invariant, since the
 counts are, so each class is a union of G-orbits and the count is at most
 the bound.  At the bound the coloring is the orbit partition of G, which
 is a coherent configuration and so stable; a stable refinement of c that
-is at least as coarse as W is W.  point_fission takes G as the pointwise
-stabiliser of the split points in the scheme's automorphism group.
+is at least as coarse as W is W.
 
 When the count stalls below the bound, an exact check compares the sorted
 path codes of every pair with those of its color's first pair, as scheme
@@ -41,26 +40,46 @@ G-invariant, as the codes are) and gains a color whatever the draw.
 Colors are numbered by first occurrence in row-major order, so the matrix
 does not depend on the seed or on where the rounds stop.
 
-point_fission first tries to certify a complete fission by color
-refinement on points (Babai-Erdos-Selkow, Immerman-Lander), which costs
-O(n**2) a round against O(n**3) for a WL round.  Cells start from the
-split points, each alone, and the rest; each round keys every point x by
-its cell and
+point_fission runs these rounds only as a fallback.  Let G be the
+automorphisms that fix the split points (the identity alone when no
+automorphism group is known), O its orbit partition on pairs, and W the
+fission.  W is G-invariant, so each class of W is a union of classes of
+O, and |W| <= |O|.  Color refinement on points (Babai-Erdos-Selkow,
+Immerman-Lander) bounds |W| from below at O(n**2) a round and row: cells
+start from a partition of the points, and each round keys every point x
+by its cell and
 
     h(x) = sum_z R1[c(x,z)] * R2[cell(z)]  mod p,
 
-one matrix-vector product, exact for the same p as above.  The fibers of
-W form an equitable partition that refines the split points: a fiber's
-points see the same number of points of each fiber along each color.
-Color refinement returns the coarsest such partition, and a hashed key
-can only merge what true refinement splits, never split what it keeps
-together, so every round stays at least as coarse as W's fibers.  When
-the cells reach n, every fiber is one point, so every pair is its own
-color: W is complete, with matrix x * n + y by first occurrence and
-fibers (0,), ..., (n-1,).  A round that adds no cell proves nothing, and
-the WL rounds run as before.  The refinement is tried only when the
-pair-orbit bound is n**2: an automorphism other than the identity fixing
-the split points keeps W from being complete.
+exact for the same p as above.  True refinement ends at the coarsest
+equitable partition finer than the start (a cell's points see the same
+number of points of each cell along each color), and a hashed key can
+only merge what true refinement splits, so at every round the cells
+number at most those of any equitable partition finer than the start.
+The certificate has two parts.
+
+- The fibers of W are equitable and refine the marker (each split point
+  alone, and the rest), and they are unions of G-orbits.  So refinement
+  from the marker ends with at most as many cells as there are G-orbits
+  on points; when it reaches that many, the fibers of W are the orbits.
+- For a point x, z -> W(x,z) partitions the points equitably (by the
+  intersection numbers of W, which refines c) and refines the marker
+  plus {x}, so refinement from there ends with at most as many cells as
+  there are colors of W in row x.  Every color of W leaving x's fiber
+  occurs in row x, so these row counts, one x per fiber, sum to |W|.
+
+So when the refinements from the marker plus {x}, one x per G-orbit on
+points, sum to |O|, then |O| <= |W| <= |O| and W = O: point_fission
+returns O, numbered by first occurrence in row-major order as the rounds
+number W.  A point alone in its orbit needs no refinement of its own:
+refining from the marker plus {x} ends with at least the marker's cells,
+since a finer start ends finer.  All refinements run as the rows of one
+(rows x n) by (n x n) product a round, with disjoint cell labels across
+rows.  A short sum proves nothing, and the WL rounds run to |O|.  For the
+trivial group, O is complete (every pair its own class), every orbit is
+one point, and the certificate is refinement from the marker to n cells.
+O comes from the elements of G, which is a C4 fixing only the split
+point on the ladder instances and the identity for two points.
 """
 
 from __future__ import annotations
@@ -128,13 +147,11 @@ class FissionReport:
 
 
 def _fibers_of(color: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    diag = color.diagonal()
-    fibers = {}
-    for x, d in enumerate(diag):
-        fibers.setdefault(int(d), []).append(x)
-    return tuple(
-        tuple(points) for _, points in sorted(fibers.items(), key=lambda kv: kv[1][0])
-    )
+    """The points of each diagonal color, the fibers in order of least point."""
+    fibers: dict[int, list[int]] = {}
+    for x, d in enumerate(color.diagonal().tolist()):
+        fibers.setdefault(d, []).append(x)
+    return tuple(tuple(points) for points in fibers.values())
 
 
 @functools.cache  # trial division takes milliseconds; every fission at n reuses it
@@ -190,55 +207,88 @@ def wl_stabilize(matrix, bound: int | None = None) -> CoherentConfiguration:
     return CoherentConfiguration(n, color, num, _fibers_of(color))
 
 
-def _refines_to_points(scheme: Scheme, marker: np.ndarray) -> bool:
-    """True when color refinement from the marker's cells reaches one point
-    per cell; False when a round adds no cell (see the module docstring)."""
-    n, color = scheme.n, scheme.color
-    cells, num_cells = _first_occurrence_rank(marker)
-    p = _modulus(n)
-    rng = np.random.default_rng(_SEED)
-    while num_cells < n:
-        left = rng.integers(0, p, size=scheme.r).astype(np.float64)
-        right = rng.integers(0, p, size=num_cells).astype(np.float64)
-        # every partial sum is an integer below n * (p - 1)**2 < 2**53, so exact
-        h = np.fmod(left[color] @ right[cells], p).astype(np.int64)
-        cells, new_num = _first_occurrence_rank(cells * p + h)
-        if new_num == num_cells:
-            return False
-        num_cells = new_num
-    return True
-
-
-def _complete_configuration(n: int) -> CoherentConfiguration:
-    color = np.arange(n * n, dtype=np.int64).reshape(n, n)
-    color.setflags(write=False)
-    return CoherentConfiguration(n, color, n * n, tuple((x,) for x in range(n)))
-
-
-def _pair_orbit_count(scheme: Scheme, delta, group: PermGroup | None) -> int:
-    """Orbits on pairs of the automorphisms in group fixing every point of
-    delta, by Burnside: the sum of fix(g)**2 over |G_delta|.  n**2 unless
-    the group carries an automorphism chain of this scheme, whose elements
-    are checked products of checked automorphisms.
+def _pair_orbits(scheme: Scheme, delta, group: PermGroup | None) -> tuple[np.ndarray, int]:
+    """O and |O|: the orbits on pairs of the automorphisms in group fixing
+    every point of delta, numbered by first occurrence in row-major order.
+    The trivial group's, every pair its own class, unless the group carries
+    an automorphism chain of this scheme, whose elements are checked
+    products of checked automorphisms.
     """
     n = scheme.n
+    least = np.arange(n * n, dtype=np.int64).reshape(n, n)
     if group is None or group.chain is None or not np.array_equal(
             group.chain.scheme.color, scheme.color):
-        return n * n
+        return least, n * n
     elems = np.array(stabilizer(group, delta[:1]), dtype=np.int64)
     elems = elems[(elems[:, delta[1:]] == delta[1:]).all(axis=1)]
-    fixed = (elems == np.arange(n)).sum(axis=1)
-    return int((fixed * fixed).sum()) // len(elems)
+    if len(elems) == 1:  # the identity
+        return least, n * n
+    for g in elems:
+        least = np.minimum(least, g[:, None] * n + g[None, :])
+    # a pair's code x * n + y is its row-major index, so the least code of
+    # each orbit is its first pair
+    least = least.ravel()
+    first = least == np.arange(n * n)
+    return (np.cumsum(first) - 1)[least].reshape(n, n), int(first.sum())
+
+
+def _refine(scheme: Scheme, cells: np.ndarray, goal: int) -> np.ndarray:
+    """Color refinement of every row of cells, one matrix product a round,
+    until the rows hold goal cells in all or a round adds none.
+
+    The rows hold disjoint cell labels numbered by first occurrence in
+    row-major order, and so do the rows returned: each row's labels run
+    from its first entry to its largest.
+    """
+    n, color = scheme.n, scheme.color
+    total = int(cells.max()) + 1
+    p = _modulus(n)
+    rng = np.random.default_rng(_SEED)
+    while total < goal:
+        left = rng.integers(0, p, size=scheme.r).astype(np.float64)
+        right = rng.integers(0, p, size=total).astype(np.float64)
+        # h[i, x] = sum_z left[c(x,z)] * right[cell_i(z)]; every partial sum
+        # is an integer below n * (p - 1)**2 < 2**53, so exact
+        h = np.fmod(right[cells] @ left[color].T, p).astype(np.int64)
+        labels, new_total = _first_occurrence_rank((cells * p + h).ravel())
+        if new_total == total:
+            break
+        cells, total = labels.reshape(cells.shape), new_total
+    return cells
+
+
+def _orbits_certified(scheme: Scheme, marker: np.ndarray, orbit: np.ndarray,
+                      num: int) -> bool:
+    """True when point refinement proves that the fission is the orbit
+    partition orbit with num classes; False when its counts fall short (see
+    the module docstring)."""
+    _, firsts, sizes = np.unique(orbit.diagonal(), return_index=True, return_counts=True)
+    num_orbits, singletons = len(sizes), int((sizes == 1).sum())
+    # row 0 refines the marker, and one row the marker plus x for the first
+    # point x of each orbit of two or more points
+    reps = firsts[sizes > 1]
+    starts = np.tile(marker, (len(reps) + 1, 1))
+    mark = int(marker.max()) + 1
+    starts[np.arange(1, len(reps) + 1), reps] = mark
+    starts += (mark + 1) * np.arange(len(reps) + 1)[:, None]
+    cells = _first_occurrence_rank(starts.ravel())[0].reshape(starts.shape)
+    # a row ends with at most as many cells as orbit has classes in the row
+    # of its point x (num_orbits in a split point's): goal in all
+    goal = num_orbits + num - singletons * num_orbits
+    cells = _refine(scheme, cells, goal)
+    counts = cells.max(axis=1) + 1 - cells[:, 0]
+    return bool(counts[0] == num_orbits
+                and counts[0] * singletons + counts[1:].sum() == num)
 
 
 def point_fission(scheme: Scheme, points, group: PermGroup | None = None,
                   ) -> CoherentConfiguration:
     """Smallest stable refinement in which every given point is its own fiber.
 
-    Given the automorphism group, the rounds stop at the orbit count of
-    its pointwise stabiliser of the points.  When that count is n**2, a
-    point refinement that ends with one point per cell certifies the
-    complete fission without a WL round (see the module docstring).
+    This is the orbit partition of the automorphisms in group that fix the
+    points (the identity alone when group is None) whenever point
+    refinement certifies it; otherwise the WL rounds run, stopping at the
+    orbit count (see the module docstring).
     """
     delta = sorted(set(int(p) for p in points))
     if not delta:
@@ -248,12 +298,13 @@ def point_fission(scheme: Scheme, points, group: PermGroup | None = None,
     marker = np.zeros(scheme.n, dtype=np.int64)
     for rank, p in enumerate(delta, start=1):
         marker[p] = rank
-    bound = _pair_orbit_count(scheme, delta, group)
-    if bound == scheme.n * scheme.n and _refines_to_points(scheme, marker):
-        return _complete_configuration(scheme.n)
+    orbit, num = _pair_orbits(scheme, delta, group)
+    if _orbits_certified(scheme, marker, orbit, num):
+        orbit.setflags(write=False)
+        return CoherentConfiguration(scheme.n, orbit, num, _fibers_of(orbit))
     m = np.int64(len(delta) + 1)
     seed = (scheme.color * m + marker[:, None]) * m + marker[None, :]
-    return wl_stabilize(seed, bound)
+    return wl_stabilize(seed, num)
 
 
 def validate_configuration(cc: CoherentConfiguration) -> None:
@@ -357,8 +408,8 @@ def find_base(scheme: Scheme, cutoff: int = DEFAULT_CUTOFF, group: PermGroup | N
     its orbit under the stabilizer of the points before it: the group
     carries complete sets to complete sets and doubled-square pairs to
     doubled-square pairs, so the witness is the same as without it.  An
-    automorphism group also stops each fission's rounds early (see
-    point_fission).  fissions maps points to one-point fissions that are
+    automorphism group also certifies each fission as an orbit partition
+    (see point_fission).  fissions maps points to one-point fissions that are
     already built, and pp is the scheme's phi/psi when already built.
     """
     if scheme.n == 1:

@@ -88,6 +88,11 @@ def f9_squared_group():
     return sf.PermGroup(81, tuple(gens))
 
 
+@pytest.fixture(scope="session")
+def f9_squared(f9_squared_group):
+    return sf.orbital_scheme(f9_squared_group)
+
+
 def _cayley_scheme_z4z4(connection):
     pts = [(i, j) for i in range(4) for j in range(4)]
     adjacent = np.array(

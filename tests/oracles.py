@@ -228,6 +228,67 @@ def aut_by_base_images(scheme, bound=None):
     return sorted(elements)
 
 
+class _OutOfPops(Exception):
+    pass
+
+
+def generators_by_base_images(color, r, capped):
+    """The automorphisms that the level search appends to its generators
+    (see autsearch), with each node's candidates recomputed from all of its
+    base images and each leaf's map forced by sorting codes.  capped stops
+    the search after n stack pops in all, as scheme validation does.
+    """
+    n = len(color)
+    base = groups._resolving_base(color, r)
+    key_order = np.lexsort(color[base, :][::-1])
+    sorted_keys = color[base, :][:, key_order]
+    pops = 0
+
+    def candidates(images):
+        mask = np.ones(n, dtype=bool)
+        for b, c in zip(base, images):
+            mask &= color[c, :] == color[b, base[len(images)]]
+        return np.nonzero(mask)[0].tolist()
+
+    def first_automorphism(images):
+        nonlocal pops
+        stack = [images]
+        while stack:
+            if capped and pops == n:
+                raise _OutOfPops
+            pops += 1
+            partial = stack.pop()
+            if len(partial) < len(base):
+                stack.extend(partial + [y] for y in reversed(candidates(partial)))
+                continue
+            found = color[partial, :]
+            order = np.lexsort(found[::-1])
+            if np.array_equal(found[:, order], sorted_keys):
+                img = np.empty(n, dtype=np.int64)
+                img[key_order] = order
+                if is_automorphism(color, img):
+                    return img.tolist()
+        return None
+
+    def orbit(point, gens):
+        reached = [point]
+        for x in reached:
+            reached.extend(g[x] for g in gens if g[x] not in reached)
+        return set(reached)
+
+    gens = []
+    try:
+        for i in reversed(range(len(base))):
+            for y in candidates(base[:i]):
+                if y not in orbit(base[i], gens):
+                    g = first_automorphism(base[:i] + [y])
+                    if g is not None:
+                        gens.append(g)
+    except _OutOfPops:
+        pass
+    return gens
+
+
 def wl_by_sorted_paths(matrix):
     """Pair refinement with exact signatures; returns the stable color matrix.
 
@@ -361,6 +422,15 @@ def orbital_partition(elements, n):
                 out[g[x]][g[y]] = label
             label += 1
     return out
+
+
+def pair_orbit_count_by_burnside(elements, n):
+    """Orbits of a group on pairs, by Burnside: the mean over its listed
+    elements of fix(g)**2, as g fixes (x, y) iff it fixes x and y."""
+    fixed = [sum(g[x] == x for x in range(n)) for g in elements]
+    total = sum(f * f for f in fixed)
+    assert total % len(elements) == 0
+    return total // len(elements)
 
 
 def blocks_by_pair_count(design, t, lam):

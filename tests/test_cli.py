@@ -459,18 +459,20 @@ def test_check_unused_color_exit_3(tmp_path, capsys):
     assert _exit_without_traceback(["check", str(path)], capsys) == 3
 
 
-def test_fission_command_stabilizes_once(z13_file, capsys, monkeypatch):
-    calls = []
-    original = fission.wl_stabilize
+def test_fission_command_builds_one_fission_without_wl(z13_file, capsys, monkeypatch):
+    # with Aut the one-point fission is its certified orbit partition
+    calls = {"wl_stabilize": 0, "point_fission": 0}
+    for name in calls:
+        original = getattr(fission, name)
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(fission, "wl_stabilize", counting)
+        monkeypatch.setattr(fission, name, counting)
     assert run(["fission", z13_file, "--points", "0"]) == 0
     assert "fiber: [0]" in capsys.readouterr().out
-    assert len(calls) == 1
+    assert calls == {"wl_stabilize": 0, "point_fission": 1}
 
 
 def test_plane_radius_below_one_exit_2(z13_file, capsys):
@@ -481,6 +483,28 @@ def test_plane_radius_below_one_exit_2(z13_file, capsys):
 def test_report_radius_below_one_exit_2(z13_file, capsys):
     argv = ["report", z13_file, "--radius", "-1", "--json"]
     assert _exit_without_traceback(argv, capsys) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["aut", "--bound", "0"], ["aut", "--bound", "-3", "--json"], ["frobenius", "--bound", "-3"],
+    ["report", "--bound", "0"], ["report", "--bound", "-3", "--json"],
+    ["plane", "--s", "1", "--bound", "0"], ["base", "--cutoff", "-1"],
+    ["base", "--cutoff", "-1", "--json"], ["report", "--cutoff", "-1", "--json"],
+    # fission and base take no --bound: argparse refuses it
+    ["fission", "--points", "0", "--bound", "-3"], ["base", "--bound", "-3"]])
+def test_bound_below_one_or_cutoff_below_zero_exit_2(z13_file, capsys, argv):
+    code = run(argv[:1] + [z13_file] + argv[1:])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "usage" in captured.err and "Traceback" not in captured.err
+
+
+def test_smallest_bound_and_cutoff_are_accepted(z13_file, capsys):
+    # |Aut(z13)| = 52 > 1, so aut stops at the bound; cutoff 0 finds no base
+    assert run(["aut", z13_file, "--bound", "1"]) == 1
+    assert "BoundExceeded" in capsys.readouterr().err
+    assert run(["base", z13_file, "--cutoff", "0"]) == 1
+    assert "base number exceeds cutoff 0" in capsys.readouterr().out
 
 
 def test_plane_falls_back_when_aut_passes_bound(z13_file, capsys):

@@ -212,26 +212,17 @@ def _rows_checked(monkeypatch):
 
 def _search_nodes(monkeypatch):
     """The stack pops of the capped search, failing past n of them: each
-    inner node asks for candidates (the level loop asks with a prefix of
-    the base itself), and each leaf forces a map."""
+    pop, inner node or leaf, finds its cells one level down from its
+    parent's (the level loop reads the base's own cells)."""
     pops = []
-    candidates, forced_map = autsearch._candidates, autsearch._forced_map
+    descend = autsearch._descend
 
-    def pop(color, images):
-        pops.append(images)
-        assert len(pops) <= len(color), "more than n search nodes"
+    def counting(step, parent, row):
+        pops.append(row)
+        assert len(pops) <= len(row), "more than n search nodes"
+        return descend(step, parent, row)
 
-    def inner(color, base, images):
-        if list(images) != list(base[:len(images)]):
-            pop(color, images)
-        return candidates(color, base, images)
-
-    def leaf(color, images, *args):
-        pop(color, images)
-        return forced_map(color, images, *args)
-
-    monkeypatch.setattr(autsearch, "_candidates", inner)
-    monkeypatch.setattr(autsearch, "_forced_map", leaf)
+    monkeypatch.setattr(autsearch, "_descend", counting)
     return pops
 
 
@@ -299,6 +290,35 @@ def test_search_stops_at_n_nodes(random_graph, n, monkeypatch):
     exc = _assert_same_outcome(random_graph(n, n), 3)
     assert isinstance(exc, sf.NonConstantIntersection)
     assert len(pops) == n
+
+
+@pytest.mark.parametrize("name,capped", [("k400", True), ("k12", True), ("k12", False),
+                                         ("random40", True), ("random200", True),
+                                         ("c53", True), ("v25", False), ("v125", False)])
+def test_search_finds_the_generators_of_the_image_search(request, random_graph, name,
+                                                         capped):
+    # each node's cells come from its parent's in one lookup, where the
+    # replaced search compared all its base images; the nodes, their order
+    # and so the generators are the same, with or without the cap of n pops
+    if name.startswith("k"):
+        n, r = int(name[1:]), 2
+        color = 1 - np.eye(n, dtype=np.int64)
+    elif name.startswith("random"):
+        n, r = int(name[6:]), 3
+        color = random_graph(n, n)
+    else:
+        scheme = request.getfixturevalue(name)
+        n, r, color = scheme.n, scheme.r, scheme.color
+    gens = []
+    try:
+        for _ in autsearch._levels(color, autsearch._resolving_base(color, r), gens,
+                                   iter(range(n)) if capped else None):
+            pass
+    except autsearch.OutOfNodes:
+        assert capped
+    assert gens == oracles.generators_by_base_images(color, r, capped)
+    if name == "k400":
+        assert len(gens) == 27
 
 
 def test_complete_graph_validates_past_the_group_bound():

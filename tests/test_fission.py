@@ -69,7 +69,7 @@ def test_colliding_evaluations_fall_back_to_exact_splits(ladder, modulus, monkey
 
     monkeypatch.setattr(fission, "_modulus", lambda n: modulus)
     monkeypatch.setattr(fission, "_unstable_pairs", recording)
-    certified = _spy(monkeypatch, "_refines_to_points")
+    certified = _spy(monkeypatch, "_orbits_certified")
     for name in ("z13", "z17", "v25", "c53"):
         scheme = ladder[name]
         aut = sf.automorphism_group(scheme)
@@ -98,36 +98,40 @@ def test_point_refinement_certifies_complete_pairs(ladder, monkeypatch, name):
     n = scheme.n
     aut = sf.automorphism_group(scheme)
     assert groups.is_transitive(aut)
-    certified = _spy(monkeypatch, "_refines_to_points")
+    certified = _spy(monkeypatch, "_orbits_certified")
     complete = 0
     for y in range(1, n):
         expected = sf.wl_stabilize(oracles.individualized(scheme, (0, y)))
         assert np.array_equal(expected.color, oracles.point_fission_by_sorted_paths(scheme, (0, y)))
         for group in (None, aut):
+            certified.clear()
             cc = sf.point_fission(scheme, (0, y), group)
             assert _same_configuration(cc, expected), (y, group)
+            # without a group only a complete fission is certified (the
+            # trivial group's orbits are single pairs); with Aut, every one
+            assert certified == [expected.is_complete or group is aut], (y, group)
         if expected.is_complete:
             complete += 1
             sf.validate_configuration(cc)
     # base number 2 at every pair past rank 2; z5 has none complete
     assert complete == (n - 1 if scheme.r >= 3 else 0)
-    assert certified.count(True) == 2 * complete
 
 
 def test_report_and_base_certify_pairs_without_full_wl(c197, v25, tmp_path, capsys,
                                                        monkeypatch):
     bounds = _spy(monkeypatch, "wl_stabilize", lambda args, result: args[1])
-    certified = _spy(monkeypatch, "_refines_to_points")
+    certified = _spy(monkeypatch, "_orbits_certified")
     report = build_report(c197, "c197")
     assert {c.status for c in report.checks} <= {"pass", sf.cli.NA}
-    assert c197.n ** 2 not in bounds and True in certified
-    bounds.clear()
+    # every fission certified, the one-point fission and the pairs alike
+    assert bounds == [] and certified and all(certified)
     certified.clear()
     path = tmp_path / "v25.asc"
     sf.save_asc(v25, str(path))
     assert run(["base", str(path)]) == 0
     assert "base number: 2" in capsys.readouterr().out
-    assert v25.n ** 2 not in bounds and certified == [True]
+    # the one-point fission at 0, then the first doubled-square pair
+    assert bounds == [] and certified == [True, True]
 
 
 def test_point_refinement_stalls_without_a_base_of_two(f9, monkeypatch):
@@ -135,7 +139,7 @@ def test_point_refinement_stalls_without_a_base_of_two(f9, monkeypatch):
     # 3: no pair fission is complete, so the refinement stalls and the WL
     # rounds give the same matrix as without it
     k12 = sf.from_matrix(np.ones((12, 12), dtype=np.int64) - np.eye(12, dtype=np.int64))
-    certified = _spy(monkeypatch, "_refines_to_points")
+    certified = _spy(monkeypatch, "_orbits_certified")
     bounds = _spy(monkeypatch, "wl_stabilize", lambda args, result: args[1])
     pairs = [(k12, (0, 1)), (k12, (3, 7))] + [(f9, (0, y)) for y in range(1, 9)]
     for scheme, points in pairs:
@@ -147,21 +151,64 @@ def test_point_refinement_stalls_without_a_base_of_two(f9, monkeypatch):
     assert bounds == [scheme.n ** 2 for scheme, _ in pairs]
 
 
+@pytest.mark.parametrize("name", ("z5", "z13", "z17", "z29", "v25", "c53", "f9", "f9_squared"))
+def test_certified_fission_is_the_orbit_partition(request, monkeypatch, name):
+    # with Aut the point refinement certifies every fission, which is then
+    # the orbit partition of the listed elements fixing the points, and
+    # equals the WL rounds and the sorted-path oracle without a group
+    scheme = request.getfixturevalue(name)
+    n = scheme.n
+    aut = sf.automorphism_group(scheme)
+    elements = groups.enumerate_elements(aut)
+    certified = _spy(monkeypatch, "_orbits_certified")
+    for points in ((0,), (0, 1), (0, 1, 2)):
+        certified.clear()
+        cc = sf.point_fission(scheme, points, aut)
+        assert certified == [True], points
+        fixing = [g for g in elements if all(g[p] == p for p in points)]
+        assert np.array_equal(cc.color, oracles.orbital_partition(fixing, n)), points
+        assert np.array_equal(cc.color, oracles.point_fission_by_sorted_paths(scheme, points))
+        assert _same_configuration(cc, sf.wl_stabilize(oracles.individualized(scheme, points)))
+        sf.validate_configuration(cc)
+
+
+@pytest.mark.parametrize("name", ("z13", "v25", "c53", "f9"))
+def test_stalled_refinement_falls_back_to_wl(request, monkeypatch, name):
+    # a refinement that adds no cell certifies nothing: each fission takes
+    # the WL rounds to the orbit count, with the same configuration
+    scheme = request.getfixturevalue(name)
+    aut = sf.automorphism_group(scheme)
+    expected = {(points, group is aut): sf.point_fission(scheme, points, group)
+                for points in ((0,), (0, 1), (0, 1, 2)) for group in (None, aut)}
+    monkeypatch.setattr(fission, "_refine", lambda scheme, cells, goal: cells)
+    certified = _spy(monkeypatch, "_orbits_certified")
+    bounds = _spy(monkeypatch, "wl_stabilize", lambda args, result: args[1])
+    for (points, known), cc in expected.items():
+        certified.clear()
+        bounds.clear()
+        stalled = sf.point_fission(scheme, points, aut if known else None)
+        assert _same_configuration(stalled, cc), (points, known)
+        bound = fission._pair_orbits(scheme, points, aut if known else None)[1]
+        assert certified == [False] and bounds == [bound], (points, known)
+
+
 @pytest.mark.parametrize("name", LADDER)
 def test_pair_orbit_count_by_burnside(ladder, name):
-    # against the orbits of the listed elements fixing the points; where
-    # |Aut| = 4n it is the Frobenius witness, G_0 is a C4 fixing only 0, and
-    # there are (n**2 + 3) / 4
+    # against the orbits of the listed elements fixing the points, both by
+    # Burnside and listed; where |Aut| = 4n it is the Frobenius witness, G_0
+    # is a C4 fixing only 0, and there are (n**2 + 3) / 4
     scheme = ladder[name]
     n = scheme.n
     aut = sf.automorphism_group(scheme)
     elements = groups.enumerate_elements(aut)
     for points in ([0], [0, 1], [0, n - 1]):
         fixing = [g for g in elements if all(g[p] == p for p in points)]
-        orbit_count = int(np.max(oracles.orbital_partition(fixing, n))) + 1
-        assert fission._pair_orbit_count(scheme, points, aut) == orbit_count, points
+        listed = np.array(oracles.orbital_partition(fixing, n))
+        orbit, num = fission._pair_orbits(scheme, points, aut)
+        assert num == oracles.pair_orbit_count_by_burnside(fixing, n) == listed.max() + 1, points
+        assert np.array_equal(orbit, listed), points
     if sf.group_order(aut) == 4 * n:
-        assert fission._pair_orbit_count(scheme, [0], aut) == (n * n + 3) // 4
+        assert fission._pair_orbits(scheme, [0], aut)[1] == (n * n + 3) // 4
 
 
 def test_groups_that_may_move_colors_count_every_pair(z13, paley13):
@@ -169,8 +216,9 @@ def test_groups_that_may_move_colors_count_every_pair(z13, paley13):
     # that moves them, and the automorphisms of the Paley graph on 13 points
     # are those of another scheme: neither may stop the rounds early
     swap = sf.PermGroup(13, (tuple(range(11)) + (12, 11),))
-    assert fission._pair_orbit_count(z13, [0], swap) == 169
-    assert fission._pair_orbit_count(z13, [0], sf.automorphism_group(paley13)) == 169
+    trivial = oracles.pair_orbit_count_by_burnside([tuple(range(13))], 13)
+    assert fission._pair_orbits(z13, [0], swap)[1] == trivial == 169
+    assert fission._pair_orbits(z13, [0], sf.automorphism_group(paley13))[1] == 169
     for points in ((0,), (0, 1)):
         expected = oracles.point_fission_by_sorted_paths(z13, points)
         assert np.array_equal(sf.point_fission(z13, points, swap).color, expected), points
@@ -199,12 +247,13 @@ def test_report_reaches_the_orbit_count_without_exact_checks(ladder, exact_check
 
 
 def test_fission_command_reaches_the_orbit_count_without_exact_checks(
-        c197, tmp_path, capsys, exact_checks):
+        c197, tmp_path, capsys, monkeypatch, exact_checks):
     path = tmp_path / "c197.asc"
     sf.save_asc(c197, str(path))
+    bounds = _spy(monkeypatch, "wl_stabilize", lambda args, result: args[1])
     assert run(["fission", str(path), "--points", "0"]) == 0
     assert "colors: 9703  fibers: 50" in capsys.readouterr().out
-    assert exact_checks == []
+    assert exact_checks == [] and bounds == []
 
 
 def test_modulus_keeps_products_exact():

@@ -218,11 +218,6 @@ def test_split_products_v25(v25):
             assert sf.product_inner(v25, s, t, s, t) == 16
 
 
-@pytest.fixture(scope="module")
-def f9_squared(f9_squared_group):
-    return sf.orbital_scheme(f9_squared_group)
-
-
 def _same_report(scheme):
     report = sf.verify_structure_lemmas(scheme)
     expected = oracles.structure_lemmas_by_pairs(scheme)
