@@ -19,6 +19,13 @@ exponential time on a matrix that is not a scheme; what it found by then
 still counts.  Finding nothing means checking every row, O(n**3 log n).
 In a 4-equivalenced scheme Aut is transitive, and on every ladder
 instance the search finds it within the cap, so one row is checked.
+
+The first pair of each color and the dual map come from row 0 when it
+holds every color, as in every transitive scheme; the dual read off the
+first pairs is accepted only after it is checked on all n**2 pairs.
+Scheme files are read and written as byte arrays.  A body of ASCII
+digits and whitespace is parsed in one pass; any other body parses row
+by row with int(), which gives the same matrix or the same error.
 """
 
 from __future__ import annotations
@@ -129,9 +136,15 @@ _BLOCK_BYTES = 1 << 23
 def _first_pairs(color: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows and columns of the first pair of each color in row-major order.
 
-    Every color 0..r-1 must occur.
+    Every color 0..r-1 must occur.  When row 0 holds colors 0..k-1 and the
+    matrix holds no other, every first pair lies in row 0, so only that row
+    is sorted; otherwise, as in a fission, all n**2 colors are.
     """
-    _, first = np.unique(color, return_index=True)
+    colors, first = np.unique(color[:1], return_index=True)
+    k = len(colors)
+    if not (k and colors[0] == 0 and colors[-1] == k - 1
+            and color.max() == k - 1 and color.min() == 0):
+        _, first = np.unique(color, return_index=True)
     return np.divmod(first, color.shape[0])
 
 
@@ -288,7 +301,25 @@ def from_matrix(color) -> Scheme:
 
 
 def _scan_dual(mat: np.ndarray, r: int) -> np.ndarray:
-    """Derive s -> s* from the matrix; DualViolation if transpose mixes colors."""
+    """Derive s -> s* from the matrix; DualViolation if transpose mixes colors.
+
+    The candidate dual of each color is the color of its first pair
+    transposed, accepted when every color 0..r-1 occurs and the candidate
+    maps every color to that of its transposed pair.  Otherwise
+    _dual_by_sort finds and words the fault.
+    """
+    xs, ys = _first_pairs(mat)
+    if len(xs) == r and np.array_equal(mat[xs, ys], np.arange(r)):
+        dual = mat[ys, xs]
+        if np.array_equal(dual[mat], mat.T):
+            return dual
+    return _dual_by_sort(mat, r)
+
+
+def _dual_by_sort(mat: np.ndarray, r: int) -> np.ndarray:
+    """s -> s* from the sorted codes of all pairs with their transposes;
+    ValueError for the least color that never occurs, DualViolation for
+    the least whose transposed pairs carry more than one color."""
     pairs = np.unique(mat * r + mat.T)
     firsts, seconds = np.divmod(pairs, r)
     met = np.bincount(firsts, minlength=r)
@@ -377,10 +408,18 @@ def product_inner(scheme: Scheme, s: int, t: int, u: int, v: int) -> int:
 
 
 def write_asc(scheme: Scheme) -> str:
-    lines = ["%d %d" % (scheme.n, scheme.r)]
-    for row in scheme.color.tolist():
-        lines.append(" ".join(map(str, row)))
-    return "\n".join(lines) + "\n"
+    """The .asc text, built as one byte array: each color's digits come from
+    a table of right-aligned decimal cells whose unused leading places are
+    masked out, each followed by a space, or an LF at the end of a row."""
+    width = len(str(scheme.r - 1))
+    cells = "".join("%*d " % (width, c) for c in range(scheme.r))
+    table = np.frombuffer(cells.encode("ascii"), np.uint8).reshape(scheme.r, width + 1)
+    keep = table != ord(" ")
+    keep[:, width] = True
+    out = table[scheme.color]
+    out[:, -1, width] = ord("\n")
+    body = out[keep[scheme.color]].tobytes().decode()
+    return "%d %d\n" % (scheme.n, scheme.r) + body
 
 
 def read_asc(text: str) -> Scheme:
@@ -401,7 +440,7 @@ def read_asc(text: str) -> Scheme:
         raise FormatError("header values must be positive")
     if len(lines) != n + 1:
         raise FormatError("expected %d matrix rows, found %d" % (n, len(lines) - 1))
-    mat = _parse_matrix(lines[1:], n, r)
+    mat = _parse_matrix(text[len(lines[0]) + 1:], n, r)
     if mat.min() < 0 or mat.max() >= r:
         raise FormatError("color entries must lie in 0..%d" % (r - 1))
     if not np.bincount(mat.ravel(), minlength=r).all():
@@ -410,29 +449,49 @@ def read_asc(text: str) -> Scheme:
     return validate(n, r, mat, dual)
 
 
-# tokens per np.array call in _parse_matrix: bounds the str objects alive
-_PARSE_BLOCK_TOKENS = 8192
+# the bytes of a body that the array path of _parse_matrix takes: ASCII
+# digits, LF, and the other ASCII bytes that str.split() treats as
+# whitespace (TAB, VT, FF, CR, 0x1c-0x1f and space)
+_BODY_BYTES = np.zeros(256, dtype=bool)
+_BODY_BYTES[[*b"0123456789\n\t\v\f\r\x1c\x1d\x1e\x1f "]] = True
+
+# decimal digits of the longest token the array path reads; 10**18 < 2**63
+_MAX_DIGITS = 18
 
 
-def _parse_matrix(lines: list[str], n: int, r: int) -> np.ndarray:
-    """The n x n matrix body, one np.array call per block of rows.
+def _parse_matrix(body: str, n: int, r: int) -> np.ndarray:
+    """The n x n matrix from the text after the header line.
 
-    numpy parses each token with int(), as _parse_rows does, so both
-    accept the same files; on any error _parse_rows runs from the top
-    and names the first malformed row.
+    The body is read as one byte array when it is ASCII, made only of
+    digits and whitespace (see _BODY_BYTES), and holds n LF-terminated
+    lines of n tokens of at most _MAX_DIGITS digits each.  int() reads
+    such a token as its decimal value, so the array path agrees with
+    _parse_rows there.  Any other body, with every other int() spelling
+    and every error, goes to _parse_rows, which names the first malformed
+    row.
     """
-    mat = np.empty((n, n), dtype=np.int64)
-    step = max(1, _PARSE_BLOCK_TOKENS // n)
-    for start in range(0, n, step):
-        rows = [line.split() for line in lines[start:start + step]]
-        try:
-            block = np.array(rows, dtype=np.int64)
-        except (ValueError, OverflowError):
-            block = None
-        if block is None or block.shape != (len(rows), n):
-            return _parse_rows(lines, n, r)
-        mat[start:start + len(rows)] = block
-    return mat
+    try:
+        buf = np.frombuffer(body.encode("ascii"), np.uint8)
+    except UnicodeEncodeError:
+        buf = np.zeros(0, np.uint8)
+    if len(buf) and buf[-1] == ord("\n") and _BODY_BYTES[buf].all():
+        digits = buf - ord("0")
+        # a digit run starts and ends where the digit mask flips
+        bounds = np.flatnonzero(np.diff(digits < 10, prepend=False, append=False))
+        starts, stops = bounds[::2], bounds[1::2]
+        ends = np.flatnonzero(buf == ord("\n"))
+        width = int((stops - starts).max(initial=0))
+        if (len(starts) == n * n and len(ends) == n and width <= _MAX_DIGITS
+                and np.array_equal(np.searchsorted(starts, ends), np.arange(n, n * n + 1, n))):
+            mat = np.zeros(n * n, dtype=np.int64)
+            # Horner over the last `width` places of each run; places before
+            # its start read as 0, which leaves a shorter run's value as is
+            for place in range(width, 0, -1):
+                at = stops - place
+                mat *= 10
+                mat += np.where(at >= starts, digits.take(at, mode="clip"), 0)
+            return mat.reshape(n, n)
+    return _parse_rows(body.split("\n")[:n], n, r)
 
 
 def _parse_rows(lines: list[str], n: int, r: int) -> np.ndarray:

@@ -7,7 +7,9 @@ from hypothesis import settings
 import scheme_forge as sf
 
 # Property tests replay the same examples on every run and stay quick.
+# The "ci" profile (pytest --hypothesis-profile=ci) runs more of them.
 settings.register_profile("scheme-forge", derandomize=True, deadline=None, max_examples=30)
+settings.register_profile("ci", settings.get_profile("scheme-forge"), max_examples=500)
 settings.load_profile("scheme-forge")
 
 # criterion label -> "PASS"/"FAIL", filled in by test_acceptance.py
@@ -57,6 +59,18 @@ def v125():
 @pytest.fixture(scope="session")
 def c197():
     return sf.orbital_scheme(sf.cyclotomic_frobenius(197))
+
+
+@pytest.fixture(scope="session")
+def c401():
+    return sf.orbital_scheme(sf.cyclotomic_frobenius(401))
+
+
+@pytest.fixture(scope="session")
+def thin120():
+    # the thin scheme of Z_120: color(x, y) = y - x, 120 colors of valency 1
+    points = np.arange(120)
+    return sf.from_matrix((points[None, :] - points[:, None]) % 120)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import os
@@ -52,6 +53,21 @@ def test_gen_stdout(capsys):
     assert run(["gen", "cyclotomic", "--p", "5"]) == 0
     out = capsys.readouterr().out
     assert sf.read_asc(out).n == 5
+
+
+@pytest.mark.parametrize("p,digest", [
+    (13, "95006f04719fe3491d36980cd6d402ac473a482feb6f19a5c417a36fcf9d49c6"),
+    (401, "b89aec46e35493f8ccbbed3206b506c71709edfd292a80707b9ea59c70f22b7d"),
+], ids=["z13", "c401"])
+def test_gen_stdout_bytes_are_pinned(p, digest, capsys):
+    # the SHA-256 of the text the per-element writer printed, and that text
+    assert run(["gen", "cyclotomic", "--p", str(p)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+    scheme = sf.orbital_scheme(sf.cyclotomic_frobenius(p))
+    lines = ["%d %d" % (scheme.n, scheme.r)]
+    lines += [" ".join(map(str, row)) for row in scheme.color.tolist()]
+    assert out == "\n".join(lines) + "\n"
 
 
 def test_check_ok(z13_file, capsys):

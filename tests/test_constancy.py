@@ -129,6 +129,15 @@ def test_corruption_seen_only_across_blocks(z13, monkeypatch):
     assert caught.value.pair[0] != np.argwhere(bad == caught.value.u)[0][0]
 
 
+def _assert_dual_scan_matches_sort(color, r):
+    expected = _outcome(lambda: scheme_core._dual_by_sort(color, r))
+    got = _outcome(lambda: scheme_core._scan_dual(color, r))
+    if isinstance(expected, np.ndarray):
+        assert np.array_equal(got, expected)
+    else:
+        assert type(got) is type(expected) and str(got) == str(expected)
+
+
 @given(data=st.data())
 def test_dual_scan_matches_oracle(corruptible, data):
     scheme = corruptible[data.draw(st.sampled_from(sorted(corruptible)))]
@@ -142,6 +151,43 @@ def test_dual_scan_matches_oracle(corruptible, data):
         assert np.array_equal(got, expected)
     else:
         assert type(got) is type(expected) and str(got) == str(expected)
+    _assert_dual_scan_matches_sort(bad, scheme.r)
+
+
+def test_dual_scan_reads_valid_schemes_off_first_pairs(battery, c53, monkeypatch):
+    # the candidate from the first pairs passes on every scheme, so the sort
+    # of all pairs is not needed
+    sort = scheme_core._dual_by_sort
+    monkeypatch.setattr(scheme_core, "_dual_by_sort", None)
+    for scheme in (*battery.values(), c53):
+        assert np.array_equal(scheme_core._scan_dual(scheme.color, scheme.r),
+                              sort(scheme.color, scheme.r))
+
+
+def test_dual_scan_matches_sort_on_seeded_corruptions(v125, c197, random_graph):
+    # the corruptions of the seeded, rotation and random-graph tests above,
+    # and one-sided changes that break the transpose pairing
+    cases = [(random_graph(n, n), 3) for n in (40, 60, 200)]
+    for scheme in (v125, c197):
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            bad = scheme.color.copy()
+            first, second = (tuple(rng.choice(scheme.n, 2, replace=False)) for _ in range(2))
+            _swap(bad, first, second)
+            cases.append((bad.copy(), scheme.r))
+            bad[first] = (bad[first] % (scheme.r - 1)) + 1
+            cases.append((bad, scheme.r))
+    n, g = c197.n, groups._least_order_four_unit(c197.n)
+    bad = c197.color.copy()
+    for k in range(4):
+        m = pow(g, k, n)
+        _swap(bad, (3 * m % n, 10 * m % n), (5 * m % n, 7 * m % n))
+    cases.append((bad, c197.r))
+    unused = c197.color.copy()
+    unused[unused == 1] = 2
+    cases.append((unused, c197.r))
+    for color, r in cases:
+        _assert_dual_scan_matches_sort(color, r)
 
 
 def test_fiber_check_matches_oracle(z13, monkeypatch):

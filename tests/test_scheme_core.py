@@ -230,11 +230,41 @@ def test_read_asc_rejects_unused_color():
             sf.read_asc(text)
 
 
-def test_write_asc_matches_per_element_formatting(battery, c53, v125):
-    for scheme in (*battery.values(), c53, v125):
+def test_write_asc_matches_per_element_formatting(battery, c53, v125, c401, thin120):
+    # c401 (r = 101) and thin120 (r = 120) have three-digit colors
+    for scheme in (*battery.values(), c53, v125, c401, thin120):
         lines = ["%d %d" % (scheme.n, scheme.r)]
         lines += [" ".join(str(int(v)) for v in row) for row in scheme.color]
         assert sf.write_asc(scheme) == "\n".join(lines) + "\n"
+
+
+def test_written_files_take_the_array_parse(battery, c401, thin120, monkeypatch):
+    # the row parser is only the fallback: a file the writer made never needs it
+    monkeypatch.setattr(scheme_core, "_parse_rows", None)
+    for scheme in (*battery.values(), c401, thin120):
+        assert np.array_equal(sf.read_asc(sf.write_asc(scheme)).color, scheme.color)
+
+
+def _first_pairs_by_sort(color):
+    _, first = np.unique(color, return_index=True)
+    return np.divmod(first, len(color))
+
+
+def test_first_pairs_match_a_sort_of_all_pairs(battery, z29):
+    relabelled = {}
+    rng = np.random.default_rng(29)
+    points, colors = rng.permutation(z29.n), np.r_[0, 1 + rng.permutation(z29.r - 1)]
+    relabelled["z29"] = colors[z29.color][np.ix_(points, points)]
+    for name, scheme in battery.items():
+        for delta in ((0,), (0, 1)):
+            relabelled["%s%s" % (name, delta)] = sf.point_fission(scheme, delta).color
+    cases = {name: scheme.color for name, scheme in battery.items()} | relabelled
+    for name, color in cases.items():
+        # row 0 holds every color of a scheme but not of its fissions, so
+        # both the row-0 path and the sort of all pairs are taken
+        assert (len(np.unique(color[0])) == len(np.unique(color))) == ("(" not in name)
+        got, expected = scheme_core._first_pairs(color), _first_pairs_by_sort(color)
+        assert all(np.array_equal(g, e) for g, e in zip(got, expected)), name
 
 
 def test_read_asc_rejects_out_of_range():
@@ -274,8 +304,9 @@ def test_read_asc_names_the_first_malformed_row():
 
 
 def test_read_asc_parses_across_row_blocks(c101):
-    # 101 rows span two blocks of the parse; an error in either block is
-    # reported for the first malformed row of the file
+    # a file without its final LF, or with a bad token or a long row early
+    # or late in the file, goes to the row parser, which reports the first
+    # malformed row of the file
     lines = sf.write_asc(c101).split("\n")
     assert np.array_equal(sf.read_asc("\n".join(lines)).color, c101.color)
     late = lines[:91] + ["x" + lines[91][1:]] + lines[92:]
