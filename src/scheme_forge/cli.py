@@ -12,6 +12,8 @@ import json
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import designs, fission, groups, planes, products, scheme_core
 from .scheme_core import FormatError, Scheme, SchemeForgeError
 
@@ -266,13 +268,13 @@ def _check_plane_alignment(ctx):
     sigma = ctx["sigma"].get(0)
     if sigma is None:
         return NA, "no rotation automorphism at point 0"
+    sigma = np.asarray(sigma)
     for s, plane in ctx["planes"].items():
         if isinstance(plane, str):
             return "fail", plane
-        for cell, point in plane.grid.items():
-            rotated = planes.rotate(cell)
-            if rotated in plane.grid and plane.grid[rotated] != sigma[point]:
-                return "fail", "color %d cell %s" % (s, (cell,))
+        cell = planes.misaligned_cell(plane, sigma)
+        if cell is not None:
+            return "fail", "color %d cell %s" % (s, (cell,))
     return "pass", "sigma carries grid(i,j) to grid(-j,i) for all cells"
 
 
@@ -548,13 +550,15 @@ def _cmd_plane(args) -> int:
             return 1
     plane = planes.build_plane(scheme, pp, args.s, *base, radius=args.radius)
     invariant = planes.check_rotation_invariance(scheme, plane)
+    center = len(plane.grid) // 2
     if args.json:
         _emit_json(
             {
                 "s": plane.s,
                 "base": list(plane.base),
                 "radius": args.radius,
-                "cells": {"%d,%d" % cell: point for cell, point in plane.grid.items()},
+                "cells": {"%d,%d" % (i - center, j - center): int(point)
+                          for (i, j), point in np.ndenumerate(plane.grid) if point >= 0},
                 "rotation_invariant": invariant,
                 "axis_rule": "both axes extend by the two-step recurrence",
             }
@@ -562,13 +566,9 @@ def _cmd_plane(args) -> int:
     else:
         print("plane for color %d, base %s" % (plane.s, list(plane.base)))
         print("axis rule: both axes extend by the two-step recurrence")
-        radius = max(abs(i) for i, _ in plane.window)
-        for j in range(radius, -radius - 1, -1):
-            row = [
-                "%4d" % plane.grid[(i, j)] if (i, j) in plane.grid else "   ."
-                for i in range(-radius, radius + 1)
-            ]
-            print(" ".join(row))
+        # one printed row per j, from the top, with i from the left
+        for row in plane.grid.T[::-1]:
+            print(" ".join("%4d" % point if point >= 0 else "   ." for point in row))
         print("rotation invariance: %s" % ("pass" if invariant else "FAIL"))
     return 0 if invariant else 1
 
@@ -629,7 +629,10 @@ def _cmd_base(args) -> int:
 
 def _listed_generators(group) -> tuple:
     """The greedy generators of the sorted elements, which are the same
-    whatever search found the group."""
+    whatever search found the group.  A group without a chain here is a
+    Frobenius witness built from its sorted elements, which holds them."""
+    if group.chain is None:
+        return group.generators
     return tuple(groups._dimino(groups.enumerate_elements(group), group.degree)[0])
 
 
@@ -673,18 +676,13 @@ def _cmd_frobenius(args) -> int:
         return 1
     order = cert.kernel_size * cert.stabilizer_order
     if args.json:
-        # a witness without a chain was built from its sorted elements with
-        # their greedy generators; Aut itself (|Aut| = 4n) has strong ones
-        gens = cert.group.generators
-        if cert.group.chain is not None:
-            gens = _listed_generators(cert.group)
         _emit_json(
             {
                 "order": order,
                 "kernel_size": cert.kernel_size,
                 "stabilizer_order": cert.stabilizer_order,
                 "orbital_match": cert.orbital_match,
-                "generators": [list(g) for g in gens],
+                "generators": [list(g) for g in _listed_generators(cert.group)],
             }
         )
     else:

@@ -37,10 +37,9 @@ from .scheme_core import (
     Scheme,
     SchemeForgeError,
     canonical_relabel,
+    from_matrix,
     is_k_equivalenced,
     read_ascii,
-    validate,
-    _scan_dual,
 )
 
 DEFAULT_BOUND = 10**6
@@ -221,10 +220,7 @@ def orbital_scheme(group: PermGroup) -> Scheme:
         label = label[label]
         if np.array_equal(label, before):
             break
-    number = canonical_relabel(label)
-    r = int(number.max()) + 1
-    color = number[t_inv]
-    return validate(n, r, color, _scan_dual(color, r))
+    return from_matrix(canonical_relabel(label)[t_inv])
 
 
 def _is_prime(m: int) -> bool:

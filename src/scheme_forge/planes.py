@@ -8,6 +8,9 @@ last point, psi(s) from the one before) and each off-axis cell is the
 unique point seeing s from both inward neighbors and phi(s) across the
 inward diagonal.  Both axes use the same recurrence; the vertical axis
 is the horizontal rule transported by a quarter turn.
+
+A plane is one array of points (see Plane), so the quarter turn of the
+whole plane is np.rot90 and every check compares two arrays.
 """
 
 from __future__ import annotations
@@ -21,10 +24,6 @@ from .scheme_core import Scheme, SchemeForgeError
 from .products import PhiPsi
 
 DEFAULT_RADIUS = 3
-
-Cell = tuple[int, int]
-
-CROSS_WINDOW: tuple[Cell, ...] = ((0, 0), (1, 0), (0, 1), (-1, 0), (0, -1))
 
 
 class NoExtension(SchemeForgeError):
@@ -43,33 +42,28 @@ class BaseMismatch(SchemeForgeError):
     """Two planes were compared around different origins."""
 
 
-def rotate(cell: Cell) -> Cell:
-    """Quarter turn of the coordinate lattice: (i, j) -> (-j, i)."""
-    i, j = cell
-    return (-j, i)
-
-
-def rotation_orbit(cell: Cell) -> tuple[Cell, ...]:
-    orbit = [cell]
-    current = cell
-    for _ in range(3):
-        current = rotate(current)
-        if current == cell:
-            break
-        orbit.append(current)
-    return tuple(orbit)
-
-
 @dataclass(frozen=True, eq=False)
 class Plane:
+    """grid[R + i, R + j], read-only, is the point of cell (i, j), R the
+    radius; -1 marks the cells outside the window, the corners of a cross.
+    Both windows are closed under the quarter turn (i, j) -> (-j, i), which
+    np.rot90(grid) applies to the whole plane."""
+
     s: int
     base: tuple[int, int, int, int, int]
-    grid: dict[Cell, int]
-    window: tuple[Cell, ...]
+    grid: np.ndarray
 
     @property
     def alpha(self) -> int:
         return self.base[0]
+
+    def image(self, table) -> np.ndarray:
+        """table[point] at each cell, -1 outside the window, which is never
+        looked up: table[-1] would read the last entry."""
+        out = np.full(self.grid.shape, -1, dtype=np.int64)
+        inside = self.grid >= 0
+        out[inside] = np.asarray(table)[self.grid[inside]]
+        return out
 
 
 def _unique_point(scheme: Scheme, constraints, context: str) -> int:
@@ -138,77 +132,72 @@ def build_plane(scheme: Scheme, pp: PhiPsi, s: int, alpha: int, beta: int,
     """Fill the window [-radius, radius]^2 (the cross for doubled squares)."""
     base = (alpha, beta, gamma, delta, epsilon)
     _check_base(scheme, pp, s, base)
-    grid: dict[Cell, int] = {(0, 0): alpha}
-
     if s in pp.s2:
-        for cell, point in zip(CROSS_WINDOW[1:], (beta, gamma, delta, epsilon)):
-            grid[cell] = point
-        return Plane(s, base, grid, CROSS_WINDOW)
+        grid = np.array([[-1, delta, -1], [epsilon, alpha, gamma], [-1, beta, -1]], dtype=np.int64)
+        grid.setflags(write=False)
+        return Plane(s, base, grid)
 
     if radius < 1:
         raise ValueError("radius must be at least 1")
-    for axis_dir, second in (((1, 0), beta), ((0, 1), gamma), ((-1, 0), delta), ((0, -1), epsilon)):
-        line = s_line(scheme, pp, s, alpha, second, radius + 1)
-        for step, point in enumerate(line):
-            grid[(axis_dir[0] * step, axis_dir[1] * step)] = point
+    grid = np.empty((2 * radius + 1, 2 * radius + 1), dtype=np.int64)
+    o = radius  # the row and column of the origin
+    # the axes from the origin through beta (+i), gamma (+j), delta (-i), epsilon (-j)
+    axes = (grid[o:, o], grid[o, o:], grid[o::-1, o], grid[o, o::-1])
+    for axis, second in zip(axes, (beta, gamma, delta, epsilon)):
+        axis[:] = s_line(scheme, pp, s, alpha, second, radius + 1)
 
     phi_s = pp.phi[s]
     for i in range(1, radius + 1):
         for j in range(1, radius + 1):
             for sx in (1, -1):
                 for sy in (1, -1):
-                    x, y = sx * i, sy * j
-                    grid[(x, y)] = _unique_point(
+                    x, y = o + sx * i, o + sy * j
+                    grid[x, y] = _unique_point(
                         scheme,
                         (
-                            (grid[(x - sx, y)], s),
-                            (grid[(x, y - sy)], s),
-                            (grid[(x - sx, y - sy)], phi_s),
+                            (grid[x - sx, y], s),
+                            (grid[x, y - sy], s),
+                            (grid[x - sx, y - sy], phi_s),
                         ),
-                        "cell (%d,%d)" % (x, y),
+                        "cell (%d,%d)" % (sx * i, sy * j),
                     )
-    window = tuple(
-        (i, j) for i in range(-radius, radius + 1) for j in range(-radius, radius + 1)
-    )
-    return Plane(s, base, grid, window)
+    grid.setflags(write=False)
+    return Plane(s, base, grid)
 
 
 def check_rotation_invariance(scheme: Scheme, plane: Plane) -> bool:
-    """color(alpha, grid(cell)) is constant on every quarter-turn orbit."""
-    alpha = plane.alpha
-    for cell in plane.window:
-        ref = scheme.color[alpha, plane.grid[cell]]
-        for other in rotation_orbit(cell):
-            if other in plane.grid and scheme.color[alpha, plane.grid[other]] != ref:
-                return False
-    return True
+    """color(alpha, grid(cell)) is constant on every quarter-turn orbit: the
+    colors from alpha, as an array over the cells, equal their quarter turn."""
+    colors = plane.image(scheme.color[plane.alpha])
+    return bool(np.array_equal(colors, np.rot90(colors)))
 
 
 def check_sim(scheme: Scheme, alpha: int, plane_s: Plane, plane_t: Plane) -> bool:
     """Cross-plane colors are preserved by a simultaneous quarter turn.
 
     Certifies color(P_s(c1), P_t(c2)) = color(P_s(rot c1), P_t(rot c2))
-    for all window cells whose rotations stay in the windows.
+    for all window cells: the (cells x cells) color block of the two planes
+    equals the block of both planes turned.
     """
-    if plane_s.grid[(0, 0)] != alpha or plane_t.grid[(0, 0)] != alpha:
-        raise BaseMismatch(
-            "planes sit at %d and %d, expected %d"
-            % (plane_s.grid[(0, 0)], plane_t.grid[(0, 0)], alpha)
-        )
-    for c1 in plane_s.window:
-        r1 = rotate(c1)
-        if r1 not in plane_s.grid:
-            continue
-        for c2 in plane_t.window:
-            r2 = rotate(c2)
-            if r2 not in plane_t.grid:
-                continue
-            if (
-                scheme.color[plane_s.grid[c1], plane_t.grid[c2]]
-                != scheme.color[plane_s.grid[r1], plane_t.grid[r2]]
-            ):
-                return False
-    return True
+    centers = [int(p.grid[len(p.grid) // 2, len(p.grid) // 2]) for p in (plane_s, plane_t)]
+    if centers != [alpha, alpha]:
+        raise BaseMismatch("planes sit at %d and %d, expected %d" % (*centers, alpha))
+    a, b = plane_s.grid, plane_t.grid
+    cells_a, cells_b = a >= 0, b >= 0
+    before = scheme.color[np.ix_(a[cells_a], b[cells_b])]
+    after = scheme.color[np.ix_(np.rot90(a)[cells_a], np.rot90(b)[cells_b])]
+    return bool(np.array_equal(before, after))
+
+
+def misaligned_cell(plane: Plane, sigma) -> tuple[int, int] | None:
+    """The first cell c, in array order, whose point sigma does not carry to
+    the point of the cell c turns to; None when np.rot90(sigma[grid]) == grid."""
+    turned = np.rot90(plane.grid, -1)  # turned[c]: the point of the cell c turns to
+    differ = plane.image(sigma) != turned
+    if not differ.any():
+        return None
+    i, j = np.argwhere(differ)[0] - len(turned) // 2
+    return (int(i), int(j))
 
 
 def valid_bases(scheme: Scheme, pp: PhiPsi, s: int, alpha: int):

@@ -22,10 +22,11 @@ instance the search finds it within the cap, so one row is checked.
 
 The first pair of each color and the dual map come from row 0 when it
 holds every color, as in every transitive scheme; the dual read off the
-first pairs is accepted only after it is checked on all n**2 pairs.
-Scheme files are read and written as byte arrays.  A body of ASCII
-digits and whitespace is parsed in one pass; any other body parses row
-by row with int(), which gives the same matrix or the same error.
+first pairs is accepted only after it is checked on all n**2 pairs, which
+settles what validate checks a given dual for.  Scheme files are read and
+written as byte arrays.  A body of ASCII digits, spaces and LFs is parsed
+in one pass; any other body parses row by row with int(), which gives the
+same matrix or the same error.
 """
 
 from __future__ import annotations
@@ -249,7 +250,20 @@ def validate(n: int, r: int, color, dual) -> Scheme:
         raise ValueError("dual must assign one color to each of %d colors" % r)
     if dual_arr.min() < 0 or dual_arr.max() >= r:
         raise ValueError("dual entries must lie in 0..%d" % (r - 1))
+    return _checked(n, r, mat, dual_arr)
 
+
+def _checked(n: int, r: int, mat: np.ndarray, dual: np.ndarray | None = None) -> Scheme:
+    """The Scheme of an n x n int64 matrix of colors 0..r-1, frozen.
+
+    Without a dual, it is scanned first (see _scan_dual), whose check of
+    dual[mat] == mat.T on all pairs also shows that every color occurs, that
+    the dual is an involution and, once color 0 is the diagonal, that it
+    fixes 0.  A given dual is checked for these after the diagonal.
+    """
+    scanned = dual is None
+    if scanned:
+        dual = _scan_dual(mat, r)
     diag = mat.diagonal()
     if (diag != 0).any():
         x = int(np.nonzero(diag != 0)[0][0])
@@ -259,32 +273,32 @@ def validate(n: int, r: int, color, dual) -> Scheme:
         x, y = map(int, np.argwhere(off)[0])
         raise DiagonalViolation("color(%d,%d) = 0 off the diagonal" % (x, y))
 
-    if dual_arr[0] != 0:
-        raise DualViolation("dual of the diagonal color must be itself")
-    if not np.array_equal(dual_arr[dual_arr], np.arange(r)):
-        s = int(np.nonzero(dual_arr[dual_arr] != np.arange(r))[0][0])
-        raise DualViolation("dual is not an involution at color %d" % s)
-    transposed = dual_arr[mat]
-    if not np.array_equal(mat.T, transposed):
-        x, y = map(int, np.argwhere(mat.T != transposed)[0])
-        raise DualViolation(
-            "color(%d,%d) = %d but color(%d,%d) = %d is not its dual"
-            % (y, x, mat[y, x], x, y, mat[x, y])
-        )
-
-    counts = np.bincount(mat.ravel(), minlength=r)
-    if (counts == 0).any():
-        s = int(np.nonzero(counts == 0)[0][0])
-        raise ValueError("color %d never occurs" % s)
+    if not scanned:
+        if dual[0] != 0:
+            raise DualViolation("dual of the diagonal color must be itself")
+        if not np.array_equal(dual[dual], np.arange(r)):
+            s = int(np.nonzero(dual[dual] != np.arange(r))[0][0])
+            raise DualViolation("dual is not an involution at color %d" % s)
+        transposed = dual[mat]
+        if not np.array_equal(mat.T, transposed):
+            x, y = map(int, np.argwhere(mat.T != transposed)[0])
+            raise DualViolation(
+                "color(%d,%d) = %d but color(%d,%d) = %d is not its dual"
+                % (y, x, mat[y, x], x, y, mat[x, y])
+            )
+        counts = np.bincount(mat.ravel(), minlength=r)
+        if (counts == 0).any():
+            s = int(np.nonzero(counts == 0)[0][0])
+            raise ValueError("color %d never occurs" % s)
 
     firsts = _check_constancy(mat, r, _orbit_minima(mat, r))
     c = np.empty((r, r, r), dtype=np.int64)
     for u, (x, y) in enumerate(zip(*firsts)):
         c[:, :, u] = np.bincount(mat[x] * r + mat[:, y], minlength=r * r).reshape(r, r)
-    valencies = c[np.arange(r), dual_arr, 0].copy()
-    for arr in (mat, dual_arr, c, valencies):
+    valencies = c[np.arange(r), dual, 0].copy()
+    for arr in (mat, dual, c, valencies):
         arr.setflags(write=False)
-    return Scheme(n, r, mat, dual_arr, IntersectionTensor(c), valencies)
+    return Scheme(n, r, mat, dual, IntersectionTensor(c), valencies)
 
 
 def from_matrix(color) -> Scheme:
@@ -292,12 +306,12 @@ def from_matrix(color) -> Scheme:
     mat = np.array(color, dtype=np.int64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("color matrix must be square")
-    n = mat.shape[0]
-    r = int(mat.max()) + 1 if mat.size else 0
-    if mat.size and mat.min() < 0:
+    if not mat.size:
+        raise ValueError("need at least one point and one color")
+    r = int(mat.max()) + 1
+    if mat.min() < 0:
         raise ValueError("color entries must lie in 0..%d" % (r - 1))
-    dual = _scan_dual(mat, r)
-    return validate(n, r, mat, dual)
+    return _checked(len(mat), r, mat)
 
 
 def _scan_dual(mat: np.ndarray, r: int) -> np.ndarray:
@@ -445,15 +459,8 @@ def read_asc(text: str) -> Scheme:
         raise FormatError("color entries must lie in 0..%d" % (r - 1))
     if not np.bincount(mat.ravel(), minlength=r).all():
         raise FormatError("header declares %d colors but some never occur" % r)
-    dual = _scan_dual(mat, r)
-    return validate(n, r, mat, dual)
+    return _checked(n, r, mat)
 
-
-# the bytes of a body that the array path of _parse_matrix takes: ASCII
-# digits, LF, and the other ASCII bytes that str.split() treats as
-# whitespace (TAB, VT, FF, CR, 0x1c-0x1f and space)
-_BODY_BYTES = np.zeros(256, dtype=bool)
-_BODY_BYTES[[*b"0123456789\n\t\v\f\r\x1c\x1d\x1e\x1f "]] = True
 
 # decimal digits of the longest token the array path reads; 10**18 < 2**63
 _MAX_DIGITS = 18
@@ -463,21 +470,23 @@ def _parse_matrix(body: str, n: int, r: int) -> np.ndarray:
     """The n x n matrix from the text after the header line.
 
     The body is read as one byte array when it is ASCII, made only of
-    digits and whitespace (see _BODY_BYTES), and holds n LF-terminated
-    lines of n tokens of at most _MAX_DIGITS digits each.  int() reads
-    such a token as its decimal value, so the array path agrees with
-    _parse_rows there.  Any other body, with every other int() spelling
-    and every error, goes to _parse_rows, which names the first malformed
-    row.
+    digits, spaces and LFs, as write_asc writes it, and holds n
+    LF-terminated lines of n tokens of at most _MAX_DIGITS digits each.
+    int() reads such a token as its decimal value, so the array path
+    agrees with _parse_rows there.  Any other body, with other whitespace,
+    every other int() spelling and every error, goes to _parse_rows, which
+    names the first malformed row.
     """
     try:
         buf = np.frombuffer(body.encode("ascii"), np.uint8)
     except UnicodeEncodeError:
         buf = np.zeros(0, np.uint8)
-    if len(buf) and buf[-1] == ord("\n") and _BODY_BYTES[buf].all():
-        digits = buf - ord("0")
+    digits = buf - ord("0")
+    digit = digits < 10
+    written = digit | (buf == ord(" ")) | (buf == ord("\n"))
+    if len(buf) and buf[-1] == ord("\n") and written.all():
         # a digit run starts and ends where the digit mask flips
-        bounds = np.flatnonzero(np.diff(digits < 10, prepend=False, append=False))
+        bounds = np.flatnonzero(np.diff(digit, prepend=False, append=False))
         starts, stops = bounds[::2], bounds[1::2]
         ends = np.flatnonzero(buf == ord("\n"))
         width = int((stops - starts).max(initial=0))

@@ -536,3 +536,60 @@ def structure_lemmas_by_pairs(scheme):
                     )
     checked["split-intersection-bound"] = bound_pairs
     return sf.StructureReport(violations, checked, pp)
+
+
+def plane_cells(plane):
+    """(i, j) -> point over the window of a plane, read off its array."""
+    radius = len(plane.grid) // 2
+    return {
+        (int(i) - radius, int(j) - radius): int(plane.grid[i, j])
+        for i, j in np.argwhere(plane.grid >= 0)
+    }
+
+
+def rotate(cell):
+    """Quarter turn of the coordinate lattice: (i, j) -> (-j, i)."""
+    i, j = cell
+    return (-j, i)
+
+
+def rotation_orbit(cell):
+    orbit = [cell]
+    current = rotate(cell)
+    while current != cell:
+        orbit.append(current)
+        current = rotate(current)
+    return tuple(orbit)
+
+
+def rotation_invariant_by_cells(scheme, plane):
+    """color(alpha, P(cell)) is constant on each quarter-turn orbit, one cell
+    at a time."""
+    grid = plane_cells(plane)
+    ref = lambda cell: scheme.color[plane.alpha, grid[cell]]
+    return all(
+        ref(other) == ref(cell)
+        for cell in grid for other in rotation_orbit(cell) if other in grid
+    )
+
+
+def misaligned_by_cells(plane, sigma):
+    """The least cell c whose point sigma does not carry to the point of
+    rotate(c), or None."""
+    grid = plane_cells(plane)
+    return min(
+        (cell for cell, point in grid.items()
+         if rotate(cell) in grid and grid[rotate(cell)] != sigma[point]),
+        default=None,
+    )
+
+
+def sim_by_cells(scheme, plane_s, plane_t):
+    """color(P_s(c1), P_t(c2)) = color(P_s(rot c1), P_t(rot c2)) for all
+    cells whose turns stay in the windows."""
+    gs, gt = plane_cells(plane_s), plane_cells(plane_t)
+    return all(
+        scheme.color[gs[c1], gt[c2]] == scheme.color[gs[rotate(c1)], gt[rotate(c2)]]
+        for c1 in gs if rotate(c1) in gs
+        for c2 in gt if rotate(c2) in gt
+    )

@@ -107,16 +107,17 @@ def test_criterion_4_planes(z13, z17, auts):
                     return False
                 for base in bases:
                     plane = sf.build_plane(scheme, pp, s, *base, radius=3)
-                    if len(plane.grid) != 49:
+                    if len(oracles.plane_cells(plane)) != 49:
                         return False
                     if not sf.check_rotation_invariance(scheme, plane):
                         return False
                 aligned = sf.build_plane(
                     scheme, pp, s, *sf.sigma_base(scheme, sigma, s, 0), radius=3
                 )
-                for cell, point in aligned.grid.items():
-                    turned = sf.rotate(cell)
-                    if turned in aligned.grid and aligned.grid[turned] != sigma[point]:
+                cells = oracles.plane_cells(aligned)
+                for cell, point in cells.items():
+                    turned = oracles.rotate(cell)
+                    if turned in cells and cells[turned] != sigma[point]:
                         return False
         return True
 

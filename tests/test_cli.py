@@ -180,6 +180,63 @@ def test_plane_bad_base_exits_1(z13_file):
     assert run(["plane", z13_file, "--s", "1", "--base", "2,5,12,8"]) == 1
 
 
+# sha256 of `plane FILE ARGS` stdout, recorded from the planes held as dicts
+# of cells that the point arrays replaced
+PLANE_SHA256 = {
+    "z13 --s 1 --radius 1": "44da55fdc8d82735d35afb07237d2c82138d17bef34136bb6d2e49cb57403126",
+    "z13 --s 1 --radius 1 --json": "45a00fc5fae4ff6b019d3deb0cb04629520e6b2155a96e9300338d022561b6fc",
+    "z13 --s 1 --radius 2": "787af9f141a417e2d5364011afd6d0a1bcb89e8d44a1b136cd37f16f762190b3",
+    "z13 --s 1 --radius 2 --json": "e8ec021e8e7652828d09ab558af939922cb3ba251d6447220d52304f28b82d8d",
+    "z13 --s 1 --radius 3": "0e73d768b7c37ba1642c1d3336b3f1a517dd5b2bcb8643b53d171d8feaf3cc16",
+    "z13 --s 1 --radius 3 --json": "240dd549a0000d28241417d4daf8669d3e869cdf874e1b6656c1a690c39339af",
+    "z13 --s 2 --radius 1": "cd7bbe4014a01959057f3b0a5f8f99320bab37b43ce7a28e6e0334c85edadfc4",
+    "z13 --s 2 --radius 1 --json": "581c6b8408e096affad03a0fe02c5f42357d276677fd5cb1f987da9507869308",
+    "z13 --s 2 --radius 2": "c446b62496bab5a3454bd8fa68727b4fa258c7c1365c89ecf40e69b30a54f2c5",
+    "z13 --s 2 --radius 2 --json": "bb6006ef9a56189e1e065fd5202f024b13967f3960497a12296ff72990979acd",
+    "z13 --s 2 --radius 3": "6e7244b1432a7182fddadc457342d3c391c901ababbf6a5e08b10c3636134721",
+    "z13 --s 2 --radius 3 --json": "2008c38dc92be460368b4eb579763fe9ac4770294bb38ce7562ea4739aed5d44",
+    "z13 --s 3 --radius 1": "73a112d5ce45fb4a3c4b06198c250c070d586286b0a91a16288e3e5c5ba9c7fc",
+    "z13 --s 3 --radius 1 --json": "b293c26b40dc2abd57c4d6d35dae06032f48b504943869d83b67a4188a907efe",
+    "z13 --s 3 --radius 2": "9c99fd81d3dce32179053c98546a0e95d677a3ba009dd7af5169fde1960ac01e",
+    "z13 --s 3 --radius 2 --json": "0e3de291e7a1ca560a0aee8be2fa2dd0a752af6fdb62017b30532fa7d9750369",
+    "z13 --s 3 --radius 3": "dc7f1ee975e6dbe2d9f6ae39ceb83e7812f3809c9b8d19eb5b3441b9f2b08380",
+    "z13 --s 3 --radius 3 --json": "3793f9a86da4cb3b88baf6e8f09c94664e9ee2331bb22a537523eb5e459c3426",
+    "v25 --s 1": "649e73db378e967964d1738f49386ebd8100dcde38bf05bf9e49ed6055f90ccf",
+    "v25 --s 1 --json": "dae53b3a2dd4f8a57d574325043a8f6f539235734978f80ea5aa2921e03429da",
+    "z13 --s 2 --radius 2 --base 3,11,10,2": "9ee648ee6347ac863c3a1e7c53f641dccc225ba6712079c30b92eab941c6ddcd",
+    "z13 --s 2 --radius 2 --base 3,11,10,2 --json": "74e03b6bad7788a424c2807fa8aee0ad834785752d956401958f0337b5d76e54",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLANE_SHA256))
+def test_plane_output_is_unchanged(case, z13_file, v25_file, capsys):
+    name, *args = case.split()
+    assert run(["plane", {"z13": z13_file, "v25": v25_file}[name], *args]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PLANE_SHA256[case]
+
+
+# sha256 of `report NAME.asc --json`, run from the file's directory, recorded
+# from the same planes
+REPORT_JSON_SHA256 = {
+    "z5": "539da86087772dcfaa5b554fe16e67fd7a24dfef263ca6fbf72d1dca1c6a0aeb",
+    "z13": "60a8644cd8424bf8ae7825baebc593aa54baba71c6e25b498f2e391ea28592b9",
+    "z17": "f982f9ac401d363bb319de87d2cd1d22659d58ea74c944c08d4f3a31d70abe72",
+    "z29": "8c2e21a767cb819d77adff0e2b20fa0d0c267efe60309282b3fde0af0b7e04f5",
+    "v25": "922bd017485d02ac291c77cf25757b71e77837a4714302a59c6fa2e875c13362",
+    "c53": "c185e0e260251238c6207f628df74040a0b5e7238485b66a222ee04e6342fa52",
+}
+
+
+def test_report_json_is_unchanged(battery, c53, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    digests = {}
+    for name, scheme in {**battery, "c53": c53}.items():
+        sf.save_asc(scheme, name + ".asc")
+        assert run(["report", name + ".asc", "--json"]) == 0
+        digests[name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == REPORT_JSON_SHA256
+
+
 def test_fission_json(z13_file, capsys):
     assert run(["fission", z13_file, "--points", "0", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -371,7 +371,7 @@ def test_aut_is_the_witness_without_closure(z13, v25, c53, auts, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("called")
 
-    for name in ("_dimino", "compose", "fixed_points", "frobenius_check", "validate"):
+    for name in ("_dimino", "compose", "fixed_points", "frobenius_check", "from_matrix"):
         monkeypatch.setattr(groups, name, refuse)
     for scheme, aut in cases:
         cert = sf.frobenius_witness(scheme, group=aut)

@@ -1,7 +1,13 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
 import scheme_forge as sf
 from scheme_forge import planes
+from scheme_forge.cli import _check_plane_alignment
+
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -14,10 +20,29 @@ def pp17(z17):
     return sf.phi_psi(z17)
 
 
-def test_rotate_orbit():
-    assert sf.rotate((2, 1)) == (-1, 2)
-    assert sf.rotation_orbit((2, 1)) == ((2, 1), (-1, 2), (-2, -1), (1, -2))
-    assert sf.rotation_orbit((0, 0)) == ((0, 0),)
+def test_quarter_turn_convention(z13, pp13):
+    # grid[R + i, R + j] holds cell (i, j), which in the prime field is
+    # i*beta + j*gamma; np.rot90 carries cell (i, j) to (-j, i)
+    radius = 3
+    plane = sf.build_plane(z13, pp13, 1, 0, 1, 5, 12, 8, radius=radius)
+    turned = np.rot90(plane.grid)
+    cells = range(-radius, radius + 1)
+    for i in cells:
+        for j in cells:
+            assert plane.grid[radius + i, radius + j] == (i + 5 * j) % 13
+            assert turned[radius - j, radius + i] == plane.grid[radius + i, radius + j]
+    assert oracles.rotate((2, 1)) == (-1, 2)
+    assert oracles.rotation_orbit((2, 1)) == ((2, 1), (-1, 2), (-2, -1), (1, -2))
+    assert oracles.rotation_orbit((0, 0)) == ((0, 0),)
+
+
+def test_grid_is_read_only(z13, pp13, v25):
+    pp = sf.phi_psi(v25)
+    for plane in (sf.build_plane(z13, pp13, 1, 0, 1, 5, 12, 8, radius=1),
+                  sf.build_plane(v25, pp, 1, *sf.valid_bases(v25, pp, 1, 0)[0])):
+        assert not plane.grid.flags.writeable
+        with pytest.raises(ValueError):
+            plane.grid[0, 0] = 0
 
 
 def test_s_line_is_modular(z13, pp13):
@@ -61,16 +86,16 @@ def test_grid_matches_modular_model(z13, pp13):
     # in the prime field the plane is literally i*beta + j*gamma
     base = (0, 1, 5, 12, 8)
     plane = sf.build_plane(z13, pp13, 1, *base, radius=3)
-    for (i, j), point in plane.grid.items():
+    for (i, j), point in oracles.plane_cells(plane).items():
         assert point == (i * 1 + j * 5) % 13
-    assert len(plane.grid) == 49
+    assert len(oracles.plane_cells(plane)) == 49
 
 
 def test_every_base_gives_unique_grid(z17, pp17):
     for s in sorted(pp17.s3):
         for base in sf.valid_bases(z17, pp17, s, 0):
             plane = sf.build_plane(z17, pp17, s, *base, radius=2)
-            assert len(plane.grid) == 25
+            assert len(oracles.plane_cells(plane)) == 25
             assert plane.base == base
             assert plane.alpha == 0
 
@@ -98,8 +123,8 @@ def test_cross_for_doubled_square(v25):
     bases = sf.valid_bases(v25, pp, 1, 0)
     assert bases
     plane = sf.build_plane(v25, pp, 1, *bases[0], radius=3)
-    assert set(plane.window) == {(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1)}
-    assert len(plane.grid) == 5
+    assert set(oracles.plane_cells(plane)) == {(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1)}
+    assert len(oracles.plane_cells(plane)) == 5
 
 
 def test_rotation_invariance_all_bases(z13, z17, pp13, pp17):
@@ -117,19 +142,18 @@ def test_sigma_base_ties_to_rotation(z13, z17, z29, auts):
         for s in sorted(pp.s3):
             base = sf.sigma_base(scheme, sigma, s, 0)
             plane = sf.build_plane(scheme, pp, s, *base, radius=3)
-            for cell, point in plane.grid.items():
-                turned = sf.rotate(cell)
-                if turned in plane.grid:
-                    assert plane.grid[turned] == sigma[point]
+            cells = oracles.plane_cells(plane)
+            for cell, point in cells.items():
+                turned = oracles.rotate(cell)
+                if turned in cells:
+                    assert cells[turned] == sigma[point]
 
 
 def test_tampered_grid_fails_rotation(z13, pp13):
-    import dataclasses
-
     plane = sf.build_plane(z13, pp13, 1, 0, 1, 5, 12, 8, radius=2)
-    tampered = dict(plane.grid)
+    tampered = plane.grid.copy()
     # send a cell to a point of a different color from alpha
-    cell = (2, 1)
+    cell = (2 + 2, 2 + 1)
     for candidate in range(13):
         if z13.color[0, candidate] != z13.color[0, tampered[cell]]:
             tampered[cell] = candidate
@@ -171,3 +195,49 @@ def test_check_sim_requires_shared_alpha(z13, z17, pp13, pp17):
     b = sf.build_plane(z13, pp13, 1, *sf.valid_bases(z13, pp13, 1, 1)[0], radius=1)
     with pytest.raises(sf.BaseMismatch):
         sf.check_sim(z13, 0, a, b)
+
+
+def _agreement(scheme, sigma, plane, other):
+    """The array checks against the cell-by-cell oracles, on plane alone and
+    on the pair (plane, other); returns whether each passed."""
+    outcomes = (
+        sf.check_rotation_invariance(scheme, plane),
+        sf.misaligned_cell(plane, sigma),
+        sf.check_sim(scheme, plane.alpha, plane, other),
+    )
+    assert outcomes == (
+        oracles.rotation_invariant_by_cells(scheme, plane),
+        oracles.misaligned_by_cells(plane, sigma),
+        oracles.sim_by_cells(scheme, plane, other),
+    )
+    return outcomes[0], outcomes[1] is None, outcomes[2]
+
+
+def _tampered(plane, cell, point):
+    grid = plane.grid.copy()
+    grid[cell] = point
+    grid.setflags(write=False)
+    return dataclasses.replace(plane, grid=grid)
+
+
+def test_array_checks_match_cell_oracles(z13, z17, v25, auts):
+    # every valid base of z13 and z17 at radius 1 and 2, each plane paired
+    # with the next, and one tampered cell next to the origin and one on the
+    # rim; v25's crosses, with the cell (1, 0) next to two corners tampered
+    seen = set()
+    for name, scheme in (("z13", z13), ("z17", z17), ("v25", v25)):
+        pp = sf.phi_psi(scheme)
+        sigma = sf.sigma_alpha(scheme, 0, group=auts[name])
+        for radius in (1, 2):
+            built = [sf.build_plane(scheme, pp, s, *base, radius=radius)
+                     for s in sorted(pp.s2 | pp.s3) for base in sf.valid_bases(scheme, pp, s, 0)]
+            for plane, other in zip(built, built[1:] + built[:1]):
+                seen.add(_agreement(scheme, sigma, plane, other))
+                o = len(plane.grid) // 2
+                for cell in ((o + 1, o), (len(plane.grid) - 1, 0)):
+                    if plane.grid[cell] >= 0:
+                        point = (plane.grid[cell] + 1) % scheme.n
+                        seen.add(_agreement(scheme, sigma, _tampered(plane, cell, point), other))
+    # each array check both passed and failed
+    for k in range(3):
+        assert {outcome[k] for outcome in seen} == {True, False}
