@@ -26,7 +26,8 @@ _AXIOM_ERRORS = (scheme_core.DiagonalViolation, scheme_core.DualViolation,
 
 
 class UsageError(Exception):
-    """A command-line value is malformed or names a point the scheme lacks."""
+    """A command-line value is malformed, names a point the scheme lacks or
+    names an output file that cannot be written."""
 
 
 @dataclass(frozen=True)
@@ -328,13 +329,8 @@ def _check_base_number(ctx):
     scheme = ctx["scheme"]
     pp = ctx["pp"]
     if pp is not None and pp.s2 and scheme.r >= 3:
-        pair = None
-        for beta in range(1, scheme.n):
-            if int(scheme.color[0, beta]) in pp.s2:
-                pair = (0, beta)
-                break
-        if pair is None:
-            return "fail", "no pair with a doubled-square color"
+        # every row of a scheme holds every color, and s2 holds no diagonal one
+        pair = (0, int(np.flatnonzero(np.isin(scheme.color[0], list(pp.s2)))[0]))
         if not fission.point_fission(scheme, pair, ctx["aut"]).is_complete:
             return "fail", "pair %s does not complete" % (pair,)
         semi = _check_semiregular(ctx)
@@ -447,6 +443,14 @@ def _parse_points(text: str, n: int) -> tuple[int, ...]:
     return points
 
 
+def _save(save, obj, path) -> None:
+    """Write obj to path; a failed write is a usage error, not bad input."""
+    try:
+        save(obj, path)
+    except OSError as err:
+        raise UsageError("cannot write %s: %s" % (path, err.strerror)) from None
+
+
 def _cmd_gen(args) -> int:
     if args.family == "cyclotomic":
         group = groups.cyclotomic_frobenius(args.p)
@@ -456,9 +460,9 @@ def _cmd_gen(args) -> int:
         group = groups.vector_frobenius(args.p, args.d)
     scheme = groups.orbital_scheme(group)
     if args.group_out:
-        groups.save_perm(group, args.group_out)
+        _save(groups.save_perm, group, args.group_out)
     if args.out:
-        scheme_core.save_asc(scheme, args.out)
+        _save(scheme_core.save_asc, scheme, args.out)
         print("wrote %s: n=%d r=%d" % (args.out, scheme.n, scheme.r))
     else:
         sys.stdout.write(scheme_core.write_asc(scheme))
@@ -584,29 +588,32 @@ def _automorphisms(scheme: Scheme, bound: int = groups.DEFAULT_BOUND):
 
 def _cmd_fission(args) -> int:
     scheme = scheme_core.load_asc(args.file)
-    points = _parse_points(args.points, scheme.n)
-    report = fission.describe_fission(scheme, points, _automorphisms(scheme))
+    delta = sorted(set(_parse_points(args.points, scheme.n)))
+    cc = fission.point_fission(scheme, delta, _automorphisms(scheme))
+    fibers = cc.fibers
+    # point_fission gives every split point a fiber of its own
+    off = next((a for a in delta if not fission.is_semiregular_off(cc, a)), None)
     if args.json:
         _emit_json(
             {
-                "distinguished": list(report.distinguished),
-                "num_colors": report.num_colors,
-                "num_fibers": report.num_fibers,
-                "fibers": [list(f) for f in report.fibers],
-                "semiregular_off": report.semiregular_off,
-                "complete": report.complete,
+                "distinguished": delta,
+                "num_colors": cc.num_colors,
+                "num_fibers": len(fibers),
+                "fibers": [list(f) for f in fibers],
+                "semiregular_off": off,
+                "complete": cc.is_complete,
             }
         )
     else:
-        print("distinguished: %s" % (list(report.distinguished),))
-        print("colors: %d  fibers: %d" % (report.num_colors, report.num_fibers))
-        for fiber in report.fibers:
+        print("distinguished: %s" % (delta,))
+        print("colors: %d  fibers: %d" % (cc.num_colors, len(fibers)))
+        for fiber in fibers:
             print("fiber: %s" % (list(fiber),))
-        print("complete: %s" % report.complete)
-        if report.semiregular_off is None:
+        print("complete: %s" % cc.is_complete)
+        if off is None:
             print("semiregular off every split point")
         else:
-            print("not semiregular off point %d" % report.semiregular_off)
+            print("not semiregular off point %d" % off)
     return 0
 
 
@@ -642,7 +649,7 @@ def _cmd_aut(args) -> int:
     order = groups.group_order(group)
     gens = _listed_generators(group)
     if args.out:
-        groups.save_perm(groups.PermGroup(scheme.n, gens), args.out)
+        _save(groups.save_perm, groups.PermGroup(scheme.n, gens), args.out)
     if args.json:
         _emit_json(
             {

@@ -120,38 +120,26 @@ class CutoffExceeded(SchemeForgeError):
 
 @dataclass(frozen=True, eq=False)
 class CoherentConfiguration:
-    n: int
+    """A configuration is its color matrix and color count; the fibers are
+    read off the diagonal."""
+
     color: np.ndarray
     num_colors: int
-    fibers: tuple[tuple[int, ...], ...]
+
+    @property
+    def n(self) -> int:
+        return self.color.shape[0]
+
+    @property
+    def fibers(self) -> tuple[tuple[int, ...], ...]:
+        """The points of each diagonal color, the fibers in order of least point."""
+        labels, _ = _first_occurrence_rank(self.color.diagonal())
+        ends = np.cumsum(np.bincount(labels))[:-1]
+        return tuple(tuple(f.tolist()) for f in np.split(np.argsort(labels, kind="stable"), ends))
 
     @property
     def is_complete(self) -> bool:
         return self.num_colors == self.n * self.n
-
-
-@dataclass(frozen=True)
-class FissionReport:
-    """Summary of one point fission.
-
-    semiregular_off is the first split point at which semiregularity
-    fails, or None when it holds at every split point.
-    """
-
-    distinguished: tuple[int, ...]
-    num_colors: int
-    num_fibers: int
-    semiregular_off: int | None
-    complete: bool
-    fibers: tuple[tuple[int, ...], ...]
-
-
-def _fibers_of(color: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """The points of each diagonal color, the fibers in order of least point."""
-    fibers: dict[int, list[int]] = {}
-    for x, d in enumerate(color.diagonal().tolist()):
-        fibers.setdefault(d, []).append(x)
-    return tuple(tuple(points) for points in fibers.values())
 
 
 @functools.cache  # trial division takes milliseconds; every fission at n reuses it
@@ -204,7 +192,7 @@ def wl_stabilize(matrix, bound: int | None = None) -> CoherentConfiguration:
         color = labels.reshape(n, n)
         num = new_num
     color.setflags(write=False)
-    return CoherentConfiguration(n, color, num, _fibers_of(color))
+    return CoherentConfiguration(color, num)
 
 
 def _pair_orbits(scheme: Scheme, delta, group: PermGroup | None) -> tuple[np.ndarray, int]:
@@ -301,7 +289,7 @@ def point_fission(scheme: Scheme, points, group: PermGroup | None = None,
     orbit, num = _pair_orbits(scheme, delta, group)
     if _orbits_certified(scheme, marker, orbit, num):
         orbit.setflags(write=False)
-        return CoherentConfiguration(scheme.n, orbit, num, _fibers_of(orbit))
+        return CoherentConfiguration(orbit, num)
     m = np.int64(len(delta) + 1)
     seed = (scheme.color * m + marker[:, None]) * m + marker[None, :]
     return wl_stabilize(seed, num)
@@ -340,9 +328,10 @@ def is_semiregular_off(cc: CoherentConfiguration, alpha: int) -> bool:
     """Every color not touching alpha's fiber has out-degree at most 1."""
     if not 0 <= alpha < cc.n:
         raise ValueError("point out of range")
-    fiber = next(f for f in cc.fibers if alpha in f)
-    if fiber != (alpha,):
-        raise NotAFiber("point %d shares a fiber with %s" % (alpha, fiber))
+    diagonal = cc.color.diagonal()
+    fiber = np.flatnonzero(diagonal == diagonal[alpha])
+    if len(fiber) > 1:
+        raise NotAFiber("point %d shares a fiber with %s" % (alpha, tuple(fiber.tolist())))
     touching = np.zeros(cc.num_colors, dtype=bool)
     touching[cc.color[alpha]] = True
     touching[cc.color[:, alpha]] = True
@@ -353,29 +342,14 @@ def is_semiregular_off(cc: CoherentConfiguration, alpha: int) -> bool:
 
 
 def fibers_refine_rows(scheme: Scheme, cc: CoherentConfiguration, alpha: int) -> bool:
-    """Each fiber other than {alpha} sits inside one relation row of alpha."""
-    for fiber in cc.fibers:
-        if fiber == (alpha,):
-            continue
-        colors = set(int(scheme.color[alpha, x]) for x in fiber)
-        if len(colors) != 1:
-            return False
-    return True
+    """Each fiber other than {alpha} sits inside one relation row of alpha.
 
-
-def describe_fission(scheme: Scheme, points, group: PermGroup | None = None) -> FissionReport:
-    delta = tuple(sorted(set(int(p) for p in points)))
-    cc = point_fission(scheme, delta, group)
-    failed = None
-    for alpha in delta:
-        try:
-            ok = is_semiregular_off(cc, alpha)
-        except NotAFiber:
-            ok = False
-        if not ok:
-            failed = alpha
-            break
-    return FissionReport(delta, cc.num_colors, len(cc.fibers), failed, cc.is_complete, cc.fibers)
+    {alpha} sits inside one row too, so this holds when the (fiber, color
+    from alpha) pairs of all points number as many as the fibers.
+    """
+    fiber = cc.color.diagonal()
+    pairs = fiber * scheme.r + scheme.color[alpha]
+    return len(np.unique(pairs)) == len(np.unique(fiber))
 
 
 def _orbit_least_sets(n: int, size: int, fixers, prefix: tuple[int, ...] = ()):

@@ -98,6 +98,22 @@ def fiber_error_by_colors(color, num):
     return None
 
 
+def fibers_by_dict(color):
+    """The points of each diagonal color, the fibers in order of least point."""
+    fibers = {}
+    for x, d in enumerate(color.diagonal().tolist()):
+        fibers.setdefault(d, []).append(x)
+    return tuple(tuple(points) for points in fibers.values())
+
+
+def fibers_refine_rows_by_fibers(scheme, color, alpha):
+    """Each fiber other than {alpha} meets one color of alpha's row, fiber by fiber."""
+    for fiber in fibers_by_dict(color):
+        if fiber != (alpha,) and len({int(scheme.color[alpha, x]) for x in fiber}) != 1:
+            return False
+    return True
+
+
 def inner_by_trace(scheme, s, t, u, v):
     """<st, uv> = (1/n) tr((A_s A_t)(A_u A_v)^T)."""
     mats = adjacency_matrices(scheme)

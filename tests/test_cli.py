@@ -123,6 +123,20 @@ def test_missing_file_exits_3():
     assert run(["check", "/no/such/file.asc"]) == 3
 
 
+@pytest.mark.parametrize("argv", (
+    ["gen", "cyclotomic", "--p", "13", "-o", "{missing}"],
+    ["gen", "cyclotomic", "--p", "13", "--group-out", "{missing}"],
+    ["aut", "{z13}", "-o", "{missing}"],
+))
+def test_write_failure_exits_2(argv, z13_file, tmp_path, capsys):
+    # the input is fine, so this is not exit 3
+    missing = str(tmp_path / "missing" / "x.out")
+    assert run([a.format(missing=missing, z13=z13_file) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "usage error: cannot write %s: No such file or directory\n" % missing
+
+
 def test_usage_errors_exit_2():
     assert run([]) == 2
     assert run(["gen"]) == 2
@@ -224,25 +238,101 @@ REPORT_JSON_SHA256 = {
     "z29": "8c2e21a767cb819d77adff0e2b20fa0d0c267efe60309282b3fde0af0b7e04f5",
     "v25": "922bd017485d02ac291c77cf25757b71e77837a4714302a59c6fa2e875c13362",
     "c53": "c185e0e260251238c6207f628df74040a0b5e7238485b66a222ee04e6342fa52",
+    # recorded while configurations stored their fibers beside the matrix
+    "c101": "1b9c9bf5f2243d4481a49c219657b2a0e7fab297a262d67b12220f3f0cac9854",
+    "v125": "14bfd9f9e91e97235a37476709740a14a06b73c3b5cb4f0260be0c675ccb3629",
 }
 
 
-def test_report_json_is_unchanged(battery, c53, tmp_path, capsys, monkeypatch):
+def test_report_json_is_unchanged(battery, c53, c101, v125, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     digests = {}
-    for name, scheme in {**battery, "c53": c53}.items():
+    for name, scheme in {**battery, "c53": c53, "c101": c101, "v125": v125}.items():
         sf.save_asc(scheme, name + ".asc")
         assert run(["report", name + ".asc", "--json"]) == 0
         digests[name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digests == REPORT_JSON_SHA256
 
 
+# sha256 of `fission NAME.asc ARGS` stdout, recorded from the FissionReport
+# summary that the command's own reading of the configuration replaced
+FISSION_SHA256 = {
+    "z5 --points 0": "2fd8fe4c4eb990d3a9d100f6b58c736313954981ec39c9476e792e282d61d73e",
+    "z5 --points 0 --json": "172787e38edf673674492baa37e5cfbd53201d83df1ba2c66c1e9aae0e2ad5a2",
+    "z5 --points 0,1": "ea9221f751a73981dbc42d6eee4c8c85165e83f900944b8dfd13dc7fb6811d87",
+    "z5 --points 0,1 --json": "9bebb32a40911ed3e02e0fbff7f384734b249882f1040ab4d133194eb5169d06",
+    "z5 --points 1,0,1": "ea9221f751a73981dbc42d6eee4c8c85165e83f900944b8dfd13dc7fb6811d87",
+    "z5 --points 1,0,1 --json": "9bebb32a40911ed3e02e0fbff7f384734b249882f1040ab4d133194eb5169d06",
+    "z5 --points 0,1,2": "0181a578bc951d9352612cba83989df5e90d6635ae7943da5e3e6486d9828e30",
+    "z5 --points 0,1,2 --json": "03a4f6367d9c0dfeccc14a77b50d00da2a77276f4e7bbd49d2b68c10423ee30b",
+    "z13 --points 0": "ad973d81b85df14e048517abbd5a1fd222be926a9c556e3934a65425f09230f0",
+    "z13 --points 0 --json": "aff5dad53250a6dda07e425ab29a9816406cf8105413944792edf1d92159a283",
+    "z13 --points 0,1": "c92cc18842c2ca831d31fa9db6dfeb62b1bfe5384563e5d67d0e5d595556a48f",
+    "z13 --points 0,1 --json": "5859e49fab49a3ede7d160eb90ab447245eca4abf8078cf887c9dde6866ddfec",
+    "z13 --points 1,0,1": "c92cc18842c2ca831d31fa9db6dfeb62b1bfe5384563e5d67d0e5d595556a48f",
+    "z13 --points 1,0,1 --json": "5859e49fab49a3ede7d160eb90ab447245eca4abf8078cf887c9dde6866ddfec",
+    "z13 --points 0,1,2": "d23f87abeb96498692edda3f0743c1a66adc375d8f646fb17afdafacc7d8b494",
+    "z13 --points 0,1,2 --json": "4e687d3472cfcf162f5110b58d8ebc8b296feb7b663ddd3dd4d0d7dbfc18fa56",
+    "v25 --points 0": "d2f46cc6931d0fc86f16f1531e4040ceceda2248b3ba83baa597ea9562150354",
+    "v25 --points 0 --json": "cb1a628e3f2db4eb71a48e2b5773d0d4f441e2d0bd6c75a72e4cbdef207b812e",
+    "v25 --points 0,1": "57a1be4518d7daec4b7957c9f1ed10ad4c4f57ef152c1662c36d58ca805429ef",
+    "v25 --points 0,1 --json": "e9bf80eabc89956055f734cb894a0c13db1b740487928ba202145ddebf89b767",
+    "v25 --points 1,0,1": "57a1be4518d7daec4b7957c9f1ed10ad4c4f57ef152c1662c36d58ca805429ef",
+    "v25 --points 1,0,1 --json": "e9bf80eabc89956055f734cb894a0c13db1b740487928ba202145ddebf89b767",
+    "v25 --points 0,1,2": "f8cd8c45d6637297806b5cada64b616ad8c188fc2591faead93e3dacbaff791c",
+    "v25 --points 0,1,2 --json": "6ba0eb42422fa5195fe8c69c705f87ab8928eda78ef9010960a9dbc3b7b60f15",
+    "c53 --points 0": "1e8ff0449b37a79ff53fbb284f15d346edae3c4cda7a34442b47f67e4195fc99",
+    "c53 --points 0 --json": "b087305ec9eb28bdc9bc75bbbe3a79d086f871acd98c83a9cb40b99d0eacea63",
+    "c53 --points 0,1": "bb056bea1cc3633ba4867920fed23dc3cf3cf2ef2f2bb1d85f3287688a0853c2",
+    "c53 --points 0,1 --json": "b709d6a4dd5f2f3c65a30172e02599e00f329594a369db59ce53c0b1b83a0e12",
+    "c53 --points 1,0,1": "bb056bea1cc3633ba4867920fed23dc3cf3cf2ef2f2bb1d85f3287688a0853c2",
+    "c53 --points 1,0,1 --json": "b709d6a4dd5f2f3c65a30172e02599e00f329594a369db59ce53c0b1b83a0e12",
+    "c53 --points 0,1,2": "8ea9e497b068c6e3a085efd11e814489798501fccd28449496cbb9630e082721",
+    "c53 --points 0,1,2 --json": "fa9591589977e889256440cfd5b3d225070d377fa25d7d664df0178ca099fca9",
+    "c197 --points 0": "fe2ec678c1e3bd720214237005157a16d0d7b27cc533ff0843dae50dd3395c31",
+    "c197 --points 0 --json": "efc1fd62025d4ada3a4b77ef36f9921e53510a6c28dead08304cf4adfd1afa70",
+    "c197 --points 0,1": "441b3a24a344ebb800ad3c0c57e635779fdb4ed4c83ec492a3183a454e0c179e",
+    "c197 --points 0,1 --json": "b97f1d238abf755ac07e0794baadce4e5c704bf989feec84ab32a5d2cc8a32cd",
+    "c197 --points 1,0,1": "441b3a24a344ebb800ad3c0c57e635779fdb4ed4c83ec492a3183a454e0c179e",
+    "c197 --points 1,0,1 --json": "b97f1d238abf755ac07e0794baadce4e5c704bf989feec84ab32a5d2cc8a32cd",
+    "c197 --points 0,1,2": "c7a971533041f5d84420a9387985a611c2f6b79fd353ed17d47c9b72cbec2c48",
+    "c197 --points 0,1,2 --json": "ede0b9bd2becfb3eb92dc21e69bcca01ec9526d94c65b585549a16e59eb7c6d3",
+}
+
+
+@pytest.fixture(scope="module")
+def fission_files(z5, z13, v25, c53, c197, tmp_path_factory):
+    folder = tmp_path_factory.mktemp("fission")
+    files = {}
+    for name, scheme in {"z5": z5, "z13": z13, "v25": v25, "c53": c53, "c197": c197}.items():
+        files[name] = str(folder / (name + ".asc"))
+        sf.save_asc(scheme, files[name])
+    return files
+
+
+@pytest.mark.parametrize("case", sorted(FISSION_SHA256))
+def test_fission_output_is_unchanged(case, fission_files, capsys):
+    name, *args = case.split()
+    assert run(["fission", fission_files[name], *args]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == FISSION_SHA256[case]
+
+
 def test_fission_json(z13_file, capsys):
     assert run(["fission", z13_file, "--points", "0", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
+    assert payload["distinguished"] == [0]
     assert payload["num_colors"] == 43
     assert payload["num_fibers"] == 4
+    assert payload["semiregular_off"] is None
     assert payload["complete"] is False
+
+
+def test_fission_flags_the_point_off_which_it_is_not_semiregular(fission_files, capsys):
+    # rank 2: the fission at 0 keeps the other four points in one fiber
+    assert run(["fission", fission_files["z5"], "--points", "0", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["semiregular_off"] == 0
+    assert payload["fibers"] == [[0], [1, 2, 3, 4]]
 
 
 def test_base_command(z13_file, capsys):

@@ -122,7 +122,7 @@ def test_corruption_seen_only_across_blocks(z13, monkeypatch):
     with pytest.raises(sf.NonConstantIntersection) as expected:
         oracles.constancy_by_matmul(bad, r)
     with pytest.raises(sf.NonConstantIntersection) as caught:
-        sf.validate_configuration(fission.CoherentConfiguration(cc.n, bad, r, cc.fibers))
+        sf.validate_configuration(fission.CoherentConfiguration(bad, r))
     fields = ("s", "t", "u", "pair", "expected", "got")
     assert [getattr(caught.value, f) for f in fields] == [getattr(expected.value, f) for f in fields]
     assert str(caught.value) == str(expected.value)
@@ -204,7 +204,7 @@ def test_fiber_check_matches_oracle(z13, monkeypatch):
         num = cc.num_colors - 1
         expected = oracles.fiber_error_by_colors(bad, num)
         try:
-            sf.validate_configuration(fission.CoherentConfiguration(cc.n, bad, num, cc.fibers))
+            sf.validate_configuration(fission.CoherentConfiguration(bad, num))
             got = None
         except sf.SchemeForgeError as exc:
             got = str(exc)
@@ -233,7 +233,7 @@ def test_corrupted_configuration_raises(battery, c53, name):
     bad = cc.color.copy()
     _swap(bad, (1, 2), (1, 3))
     assert bad[1, 2] != cc.color[1, 2]
-    broken = fission.CoherentConfiguration(cc.n, bad, cc.num_colors, cc.fibers)
+    broken = fission.CoherentConfiguration(bad, cc.num_colors)
     with pytest.raises(sf.NonConstantIntersection) as caught:
         sf.validate_configuration(broken)
     if name == "z13":

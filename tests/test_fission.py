@@ -343,6 +343,48 @@ def test_point_fission_fibers_are_rows(battery):
         assert others <= rows, name
 
 
+@pytest.mark.parametrize("name", ("z5", "z13", "z17", "z29", "v25", "c53", "f9"))
+def test_fibers_match_dict_oracle(ladder, name):
+    # WL configurations without a group, certified orbit partitions with one
+    scheme = ladder[name]
+    aut = sf.automorphism_group(scheme)
+    for points in ((0,), (0, 1)):
+        for group in (None, aut):
+            cc = sf.point_fission(scheme, points, group)
+            assert cc.fibers == oracles.fibers_by_dict(cc.color), (points, group)
+            assert all(type(x) is int for f in cc.fibers for x in f)
+    cc = sf.wl_stabilize(scheme.color)  # nothing split: one fiber
+    assert cc.fibers == oracles.fibers_by_dict(cc.color) == (tuple(range(scheme.n)),)
+
+
+def test_fibers_follow_least_points_not_color_numbers(z13):
+    # diagonal colors numbered against the order of their least points
+    cc = sf.point_fission(z13, (0,))
+    color = cc.num_colors - 1 - cc.color
+    tampered = fission.CoherentConfiguration(color, cc.num_colors)
+    assert tampered.fibers == cc.fibers == oracles.fibers_by_dict(color)
+
+
+def test_fibers_refine_rows_matches_fiber_loop(battery, c53):
+    # fissions at one point read at every point, whose fibers straddle the
+    # rows of most of them, and fissions with two diagonal colors merged,
+    # so that the split point shares its fiber
+    outcomes = set()
+    for scheme in (*battery.values(), c53):
+        cc = sf.point_fission(scheme, (0,))
+        colors = [cc.color, sf.wl_stabilize(scheme.color).color]
+        diagonal = np.unique(cc.color.diagonal())
+        for u, v in zip(diagonal, diagonal[1:]):
+            colors.append(np.where(cc.color == v, u, cc.color))
+        for color in colors:
+            merged = fission.CoherentConfiguration(color, int(color.max()) + 1)
+            for alpha in range(scheme.n):
+                expected = oracles.fibers_refine_rows_by_fibers(scheme, color, alpha)
+                assert sf.fibers_refine_rows(scheme, merged, alpha) == expected
+                outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
 def test_semiregular_battery(battery):
     for name, scheme in battery.items():
         if scheme.r < 3:
@@ -399,17 +441,3 @@ def test_base_cutoff(z5):
 def test_single_point_base():
     one = sf.from_matrix(np.zeros((1, 1), dtype=np.int64))
     assert sf.find_base(one, cutoff=3) == (0, ())
-
-
-def test_describe_fission(z13):
-    report = sf.describe_fission(z13, (0,))
-    assert report.distinguished == (0,)
-    assert report.num_colors == 43
-    assert report.num_fibers == 4
-    assert report.semiregular_off is None
-    assert not report.complete
-
-
-def test_describe_fission_flags_bad_point(z5):
-    report = sf.describe_fission(z5, (0,))
-    assert report.semiregular_off == 0
