@@ -441,3 +441,14 @@ def test_base_cutoff(z5):
 def test_single_point_base():
     one = sf.from_matrix(np.zeros((1, 1), dtype=np.int64))
     assert sf.find_base(one, cutoff=3) == (0, ())
+
+
+def test_describe_fission(z13):
+    # the facts the fission command reports, read off the configuration
+    for group in (None, sf.automorphism_group(z13)):
+        cc = sf.point_fission(z13, (0,), group)
+        assert (0,) in cc.fibers
+        assert cc.num_colors == 43
+        assert len(cc.fibers) == 4
+        assert fission.is_semiregular_off(cc, 0)
+        assert not cc.is_complete
