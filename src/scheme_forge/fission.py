@@ -100,7 +100,7 @@ from .scheme_core import (
     _scan_dual,
     canonical_relabel,
 )
-from .groups import PermGroup, orbits, stabilizer
+from .groups import PermGroup, _is_prime, orbits, stabilizer
 from .products import PhiPsi, phi_psi
 
 DEFAULT_CUTOFF = 3
@@ -146,7 +146,7 @@ class CoherentConfiguration:
 def _modulus(n: int) -> int:
     """The largest prime p with n * (p - 1)**2 < 2**53."""
     p = math.isqrt((2**53 - 1) // n) + 1
-    while any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+    while not _is_prime(p):
         p -= 1
     return p
 

@@ -392,27 +392,17 @@ def two_point_rigidity(scheme: Scheme, group: PermGroup) -> bool:
                    for orbit in orbits(group) for g in stabilizer(group, orbit[:1]))
 
 
-@dataclass(frozen=True)
-class FrobeniusCertificate:
-    group: PermGroup
-    kernel_size: int
-    stabilizer_order: int
-    orbital_match: bool
-
-
-def _certified(scheme: Scheme, group: PermGroup) -> FrobeniusCertificate | None:
-    """Certify 4n permutations holding a rotation at 0 if they are transitive
-    and every generator preserves every color (the lemma's hypotheses)."""
+def _certifies(scheme: Scheme, group: PermGroup) -> bool:
+    """The lemma's hypotheses on 4n permutations holding a rotation at 0: they
+    are transitive and every generator preserves every color."""
     color = scheme.color
-    if is_transitive(group) and all(
-            np.array_equal(color[np.ix_(g, g)], color) for g in group.generators):
-        return FrobeniusCertificate(group, scheme.n, 4, True)
-    return None
+    return is_transitive(group) and all(
+        np.array_equal(color[np.ix_(g, g)], color) for g in group.generators)
 
 
-def frobenius_witness(scheme: Scheme, group: PermGroup) -> FrobeniusCertificate | None:
+def frobenius_witness(scheme: Scheme, group: PermGroup) -> PermGroup | None:
     """Find a Frobenius subgroup of group, the scheme's automorphism group,
-    whose orbitals are exactly the colors.
+    whose orbitals are exactly the colors, or None.
 
     Lemma.  In a 4-equivalenced scheme on n points, let H be a transitive
     group of 4n color-preserving permutations holding a rotation sigma at 0
@@ -424,7 +414,7 @@ def frobenius_witness(scheme: Scheme, group: PermGroup) -> FrobeniusCertificate 
     fixed-point-free elements, so the kernel has order n.  (With a row of
     fewer than 4 points, sigma**2 fixes two points: there is no witness.)
 
-    A group of 4n elements is the only candidate, certified as given, with
+    A group of 4n elements is the only candidate, returned as given, with
     its own generators.  Otherwise the first candidate of 4n elements that
     the lemma certifies is the witness, with the greedy generators of its
     elements: first the kernel (the fixed-point-free elements and the
@@ -437,7 +427,7 @@ def frobenius_witness(scheme: Scheme, group: PermGroup) -> FrobeniusCertificate 
     if is_k_equivalenced(scheme) != 4 or not rotations:
         return None
     if group_order(group) == 4 * n:
-        return _certified(scheme, group)
+        return group if _certifies(scheme, group) else None
 
     elems = enumerate_elements(group)
     ident = identity_perm(n)
@@ -455,9 +445,8 @@ def frobenius_witness(scheme: Scheme, group: PermGroup) -> FrobeniusCertificate 
         if closed is not None and len(closed[1]) == 4 * n:
             elements = tuple(sorted(closed[1]))
             witness = PermGroup(n, tuple(_dimino(elements, n)[0]), _elements=elements)
-            cert = _certified(scheme, witness)
-            if cert is not None:
-                return cert
+            if _certifies(scheme, witness):
+                return witness
     return None
 
 

@@ -22,8 +22,8 @@ instance the search finds it within the cap, so one row is checked.
 
 The first pair of each color and the dual map come from row 0 when it
 holds every color, as in every transitive scheme; the dual read off the
-first pairs is accepted only after it is checked on all n**2 pairs, which
-settles what validate checks a given dual for.  Scheme files are read and
+first pairs is accepted only after it is checked on all n**2 pairs, and a
+dual given to validate must equal it.  Scheme files are read and
 written as byte arrays.  A body of ASCII digits, spaces and LFs is parsed
 in one pass; any other body parses row by row with int(), which gives the
 same matrix or the same error.
@@ -86,18 +86,30 @@ class IntersectionTensor:
 
 @dataclass(frozen=True, eq=False)
 class Scheme:
-    """A validated association scheme.
+    """A validated association scheme: its color matrix, dual and tensor.
 
     Fields are never mutated after validate() returns; the arrays are
-    marked read-only so accidental writes fail loudly.
+    marked read-only so accidental writes fail loudly.  n, r and the
+    valencies are read off the matrix and the dual.
     """
 
-    n: int
-    r: int
     color: np.ndarray
     dual: np.ndarray
     tensor: IntersectionTensor
-    valencies: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.color.shape[0]
+
+    @property
+    def r(self) -> int:
+        return len(self.dual)
+
+    @property
+    def valencies(self) -> np.ndarray:
+        """The out-degree of each color: row 0 holds color s c(s, s*, 0) times,
+        as every row does."""
+        return np.bincount(self.color[0], minlength=self.r)
 
     def row(self, alpha: int, s: int) -> np.ndarray:
         """Points y with color(alpha, y) = s."""
@@ -236,7 +248,8 @@ def validate(n: int, r: int, color, dual) -> Scheme:
     """Check all scheme axioms and return the Scheme with its tensor attached.
 
     Raises DiagonalViolation / DualViolation / NonConstantIntersection for
-    axiom failures, ValueError for out-of-range or missing colors.
+    axiom failures, ValueError for out-of-range or missing colors.  A
+    given dual that differs from the scanned one is a DualViolation.
     """
     if n < 1 or r < 1:
         raise ValueError("need at least one point and one color")
@@ -250,20 +263,23 @@ def validate(n: int, r: int, color, dual) -> Scheme:
         raise ValueError("dual must assign one color to each of %d colors" % r)
     if dual_arr.min() < 0 or dual_arr.max() >= r:
         raise ValueError("dual entries must lie in 0..%d" % (r - 1))
-    return _checked(n, r, mat, dual_arr)
+    scheme = _checked(n, r, mat)
+    if not np.array_equal(dual_arr, scheme.dual):
+        s = int(np.argmax(dual_arr != scheme.dual))
+        raise DualViolation("given dual of color %d is %d, but transposing gives %d"
+                            % (s, dual_arr[s], scheme.dual[s]))
+    return scheme
 
 
-def _checked(n: int, r: int, mat: np.ndarray, dual: np.ndarray | None = None) -> Scheme:
+def _checked(n: int, r: int, mat: np.ndarray) -> Scheme:
     """The Scheme of an n x n int64 matrix of colors 0..r-1, frozen.
 
-    Without a dual, it is scanned first (see _scan_dual), whose check of
+    The dual is scanned first (see _scan_dual), whose check of
     dual[mat] == mat.T on all pairs also shows that every color occurs, that
     the dual is an involution and, once color 0 is the diagonal, that it
-    fixes 0.  A given dual is checked for these after the diagonal.
+    fixes 0.
     """
-    scanned = dual is None
-    if scanned:
-        dual = _scan_dual(mat, r)
+    dual = _scan_dual(mat, r)
     diag = mat.diagonal()
     if (diag != 0).any():
         x = int(np.nonzero(diag != 0)[0][0])
@@ -273,32 +289,13 @@ def _checked(n: int, r: int, mat: np.ndarray, dual: np.ndarray | None = None) ->
         x, y = map(int, np.argwhere(off)[0])
         raise DiagonalViolation("color(%d,%d) = 0 off the diagonal" % (x, y))
 
-    if not scanned:
-        if dual[0] != 0:
-            raise DualViolation("dual of the diagonal color must be itself")
-        if not np.array_equal(dual[dual], np.arange(r)):
-            s = int(np.nonzero(dual[dual] != np.arange(r))[0][0])
-            raise DualViolation("dual is not an involution at color %d" % s)
-        transposed = dual[mat]
-        if not np.array_equal(mat.T, transposed):
-            x, y = map(int, np.argwhere(mat.T != transposed)[0])
-            raise DualViolation(
-                "color(%d,%d) = %d but color(%d,%d) = %d is not its dual"
-                % (y, x, mat[y, x], x, y, mat[x, y])
-            )
-        counts = np.bincount(mat.ravel(), minlength=r)
-        if (counts == 0).any():
-            s = int(np.nonzero(counts == 0)[0][0])
-            raise ValueError("color %d never occurs" % s)
-
     firsts = _check_constancy(mat, r, _orbit_minima(mat, r))
     c = np.empty((r, r, r), dtype=np.int64)
     for u, (x, y) in enumerate(zip(*firsts)):
         c[:, :, u] = np.bincount(mat[x] * r + mat[:, y], minlength=r * r).reshape(r, r)
-    valencies = c[np.arange(r), dual, 0].copy()
-    for arr in (mat, dual, c, valencies):
+    for arr in (mat, dual, c):
         arr.setflags(write=False)
-    return Scheme(n, r, mat, dual, IntersectionTensor(c), valencies)
+    return Scheme(mat, dual, IntersectionTensor(c))
 
 
 def from_matrix(color) -> Scheme:

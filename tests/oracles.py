@@ -320,7 +320,10 @@ def wl_by_sorted_paths(matrix):
         paths = color[:, None, :] * np.int64(num) + color.T[None, :, :]
         paths.sort(axis=2)
         sig = np.concatenate((color[:, :, None], paths), axis=2).reshape(n * n, n + 1)
-        uniq, first, inv = np.unique(sig, axis=0, return_index=True, return_inverse=True)
+        # one opaque item per row: equal rows have equal bytes, and a 1-d
+        # unique sorts far faster than one along axis 0
+        rows = sig.view(np.dtype((np.void, sig.itemsize * (n + 1)))).ravel()
+        uniq, first, inv = np.unique(rows, return_index=True, return_inverse=True)
         if len(uniq) == num:
             return color
         rank = np.empty(len(uniq), dtype=np.int64)

@@ -544,6 +544,24 @@ def test_report_v25_asserts_base_number(v25_file, capsys):
     assert by_name["frobenius-witness"]["status"] == "pass"
 
 
+def test_base_number_fails_when_a_point_completes(v25_file, capsys, monkeypatch):
+    # a complete one-point fission is semiregular too (every color has
+    # out-degree 1), so only its completeness rules the single points out
+    original = fission.point_fission
+
+    def complete_at_points(scheme, points, group=None):
+        if len(points) == 1:
+            n = scheme.n
+            return fission.CoherentConfiguration(np.arange(n * n).reshape(n, n), n * n)
+        return original(scheme, points, group)
+
+    monkeypatch.setattr(fission, "point_fission", complete_at_points)
+    assert run(["report", v25_file, "--json"]) == 1
+    by_name = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert (by_name["base-number"]["status"], by_name["base-number"]["detail"]) == (
+        "fail", "pair completes but single points were not ruled out")
+
+
 @pytest.fixture(scope="module")
 def two_point_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "two.asc"

@@ -18,7 +18,7 @@ def test_library_example_runs_and_states_true_values():
     assert (scheme.n, scheme.r, names["sf"].is_k_equivalenced(scheme)) == (13, 4, 4)
     assert (pp.phi, pp.psi) == ((0, 3, 1, 2), (0, 2, 3, 1))
     assert names["sf"].group_order(names["aut"]) == 52
-    assert names["cert"].kernel_size == 13
+    assert names["sf"].group_order(names["witness"]) == 52
 
 
 def test_cli_block_runs_as_written(tmp_path, monkeypatch, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,37 @@ def test_dual_violation():
     assert color[0, 2] == 1 and color[2, 0] == 2 and color[0, 1] == color[1, 0] == 1
     with pytest.raises(sf.DualViolation):
         sf.from_matrix(color)
+
+
+def test_validate_scans_the_dual_before_the_diagonal():
+    # a transpose fault and a diagonal fault: DualViolation, as from_matrix raises
+    color = np.array([[0, 1, 1, 2], [1, 2, 2, 1], [2, 1, 0, 1], [1, 2, 1, 0]])
+    for check in (sf.from_matrix, lambda m: sf.validate(4, 3, m, [0, 1, 2])):
+        with pytest.raises(sf.DualViolation):
+            check(color)
+
+
+# the thin scheme of Z_3: color(x, y) = y - x, so color 1 is dual to 2
+THIN3 = [[0, 1, 2], [2, 0, 1], [1, 2, 0]]
+
+
+@pytest.mark.parametrize("dual, least", [
+    ([1, 0, 2], 0),  # the diagonal color is not its own dual
+    ([0, 2, 2], 2),  # not an involution
+    ([0, 1, 2], 1),  # an involution, but not the transpose pairing
+], ids=("diagonal", "involution", "pairing"))
+def test_validate_rejects_a_wrong_given_dual(dual, least):
+    assert sf.validate(3, 3, THIN3, [0, 2, 1]).dual.tolist() == [0, 2, 1]
+    with pytest.raises(sf.DualViolation, match="^given dual of color %d is " % least):
+        sf.validate(3, 3, THIN3, dual)
+
+
+def test_scheme_is_its_matrix_dual_and_tensor(battery, c53, f9):
+    assert [f.name for f in dataclasses.fields(sf.Scheme)] == ["color", "dual", "tensor"]
+    for scheme in (*battery.values(), c53, f9):
+        r = len(scheme.dual)
+        assert (scheme.n, scheme.r) == (scheme.color.shape[0], r)
+        assert np.array_equal(scheme.valencies, scheme.tensor.c[np.arange(r), scheme.dual, 0])
 
 
 def test_nonconstant_intersection():
