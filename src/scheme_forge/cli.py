@@ -138,16 +138,17 @@ def _origin_planes(ctx) -> dict:
     read the same planes)."""
     scheme = ctx["scheme"]
     pp = ctx["pp"]
+    bases = {s: _plane_base(scheme, pp, ctx["sigma"].get(0), s, 0) for s in sorted(pp.s3)}
+    built = planes.build_planes(scheme, pp, {s: b for s, b in bases.items() if b is not None},
+                                radius=ctx["radius"])
     out: dict = {}
-    for s in sorted(pp.s3):
-        base = _plane_base(scheme, pp, ctx["sigma"].get(0), s, 0)
+    for s, base in bases.items():
         if base is None:
             out[s] = "color %d has no valid base at point 0" % s
-            continue
-        try:
-            out[s] = planes.build_plane(scheme, pp, s, *base, radius=ctx["radius"])
-        except SchemeForgeError as err:
-            out[s] = "color %d: %s" % (s, err)
+        elif isinstance(built[s], SchemeForgeError):
+            out[s] = "color %d: %s" % (s, built[s])
+        else:
+            out[s] = built[s]
     return out
 
 
@@ -549,7 +550,9 @@ def _cmd_plane(args) -> int:
         if base is None:
             print("no valid base for color %d at point %d" % (args.s, alpha))
             return 1
-    plane = planes.build_plane(scheme, pp, args.s, *base, radius=args.radius)
+    plane = planes.build_planes(scheme, pp, {args.s: base}, radius=args.radius)[args.s]
+    if isinstance(plane, SchemeForgeError):
+        raise plane
     invariant = planes.check_rotation_invariance(scheme, plane)
     center = len(plane.grid) // 2
     if args.json:

@@ -165,6 +165,86 @@ def build_plane(scheme: Scheme, pp: PhiPsi, s: int, alpha: int, beta: int,
     return Plane(s, base, grid)
 
 
+def build_planes(scheme: Scheme, pp: PhiPsi, bases: dict, radius: int = DEFAULT_RADIUS) -> dict:
+    """build_plane for each color s of bases ({s: base}), in that order, as
+    {s: Plane}, or {s: error} where build_plane raises InvalidBase,
+    NoExtension or AmbiguousExtension; its ValueErrors propagate.
+
+    The split-square planes grow in lockstep: the four axes of every plane
+    take one line step together, then each cell (i, j), in build_plane's
+    order, is filled in all four quadrants of every plane at once.  A color
+    with a step of no or several points is rebuilt by build_plane, which
+    names the first failing step."""
+    out: dict = {}
+    lanes = []
+    for s, base in bases.items():
+        try:
+            _check_base(scheme, pp, s, base)
+        except InvalidBase as err:
+            out[s] = err
+            continue
+        if s in pp.s3 and radius >= 1:
+            lanes.append(s)
+        else:  # the cross, or build_plane's ValueError
+            out[s] = build_plane(scheme, pp, s, *base, radius=radius)
+    if lanes:
+        out.update(_lockstep_planes(scheme, pp, {s: tuple(bases[s]) for s in lanes}, radius))
+    return {s: out[s] for s in bases}
+
+
+def _lockstep_planes(scheme: Scheme, pp: PhiPsi, bases: dict, radius: int) -> dict:
+    """build_planes for split-square colors whose bases passed _check_base."""
+    colors = list(bases)
+    o, side = radius, 2 * radius + 1
+    grids = np.empty((len(colors), side, side), dtype=np.int64)
+    start = np.array([bases[c] for c in colors], dtype=np.int64)
+    # lane 4p + q of plane p: the axis through beta (+i), gamma (+j),
+    # delta (-i) or epsilon (-j), then the quadrant (sx, sy) = (1,1),
+    # (1,-1), (-1,1) or (-1,-1)
+    di, dj = np.array([1, 0, -1, 0]), np.array([0, 1, 0, -1])
+    sx, sy = np.array([1, 1, -1, -1]), np.array([1, -1, 1, -1])
+    s, psi, phi = (np.repeat(np.array(v, dtype=np.int64), 4)
+                   for v in (colors, [pp.psi[c] for c in colors], [pp.phi[c] for c in colors]))
+    built = np.ones(len(colors), dtype=bool)
+
+    def step(x, y, constraints):
+        """Fill cell (x, y) of every lane: the point meeting each
+        (cell x, cell y, color) constraint, unique or not."""
+        (fx, fy, col), *rest = constraints
+        first = grids[:, fx, fy].ravel()
+        lane, point = np.nonzero(scheme.color[first] == col[:, None])
+        for cx, cy, cols in rest:
+            keep = scheme.color[grids[:, cx, cy].ravel()[lane], point] == cols[lane]
+            lane, point = lane[keep], point[keep]
+        found = first.copy()  # an in-range point for a lane with none
+        found[lane] = point
+        grids[:, x, y] = found.reshape(-1, 4)
+        unique = np.bincount(lane, minlength=len(first)) == 1
+        built[:] &= unique.reshape(-1, 4).all(axis=1)
+
+    grids[:, o, o] = start[:, 0]
+    grids[:, o + di, o + dj] = start[:, 1:]
+    for t in range(2, radius + 1):
+        step(o + t * di, o + t * dj, [(o + (t - 1) * di, o + (t - 1) * dj, s),
+                                      (o + (t - 2) * di, o + (t - 2) * dj, psi)])
+    for i in range(1, radius + 1):
+        for j in range(1, radius + 1):
+            x, y = o + sx * i, o + sy * j
+            step(x, y, [(x - sx, y, s), (x, y - sy, s), (x - sx, y - sy, phi)])
+    grids.setflags(write=False)
+
+    out = {}
+    for c, grid, ok in zip(colors, grids, built):
+        if ok:
+            out[c] = Plane(c, bases[c], grid)
+            continue
+        try:
+            out[c] = build_plane(scheme, pp, c, *bases[c], radius=radius)
+        except (NoExtension, AmbiguousExtension) as err:
+            out[c] = err
+    return out
+
+
 def check_rotation_invariance(scheme: Scheme, plane: Plane) -> bool:
     """color(alpha, grid(cell)) is constant on every quarter-turn orbit: the
     colors from alpha, as an array over the cells, equal their quarter turn."""

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import scheme_forge as sf
-from scheme_forge import fission, groups, planes, products
+from scheme_forge import cli, fission, groups, planes, products
 from scheme_forge.cli import build_report, run
 
 import oracles
@@ -508,31 +508,37 @@ def test_run_leaves_no_cyclic_garbage(z13_file, capsys):
 
 
 def test_report_builds_each_origin_plane_once(z13_file, capsys, monkeypatch):
-    built = []
-    original = planes.build_plane
+    calls = []
+    original = planes.build_planes
 
-    def counting(scheme, pp, s, *base, **kwargs):
-        built.append(s)
-        return original(scheme, pp, s, *base, **kwargs)
+    def counting(scheme, pp, bases, **kwargs):
+        calls.append(list(bases))
+        return original(scheme, pp, bases, **kwargs)
 
-    monkeypatch.setattr(planes, "build_plane", counting)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a plane was built cell by cell")
+
+    monkeypatch.setattr(planes, "build_planes", counting)
+    monkeypatch.setattr(planes, "build_plane", refuse)
     assert run(["report", z13_file, "--json"]) == 0
-    assert built == [1, 2, 3]  # s3 of z13, one plane each
+    assert calls == [[1, 2, 3]]  # s3 of z13, all planes in one lockstep call
 
 
 def test_report_plane_failure_detail(z13_file, capsys, monkeypatch):
-    original = planes.build_plane
+    # color 2's base with delta and epsilon swapped: color(beta, delta) is
+    # then color(beta, sigma^3 beta), which is 1, not psi(2)
+    original = cli._plane_base
 
-    def failing(scheme, pp, s, *base, **kwargs):
-        if s == 2:
-            raise planes.InvalidBase("no room")
-        return original(scheme, pp, s, *base, **kwargs)
+    def swapped(scheme, pp, sigma, s, alpha):
+        base = original(scheme, pp, sigma, s, alpha)
+        return base[:3] + base[:2:-1] if s == 2 else base
 
-    monkeypatch.setattr(planes, "build_plane", failing)
+    monkeypatch.setattr(cli, "_plane_base", swapped)
     assert run(["report", z13_file, "--json"]) == 1
     by_name = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
     for name in ("plane-rotation", "plane-alignment"):
-        assert (by_name[name]["status"], by_name[name]["detail"]) == ("fail", "color 2: no room")
+        assert (by_name[name]["status"], by_name[name]["detail"]) == (
+            "fail", "color 2: color(beta,delta) = 1, expected psi(s) = 3")
 
 
 def test_report_v25_asserts_base_number(v25_file, capsys):

@@ -52,6 +52,14 @@ def test_verify_design_rejects_wrong_lambda(z13):
     assert not sf.verify_design(design, k=4, lam=2)
 
 
+def test_verify_design_rejects_uneven_pair_counts():
+    # 6 blocks of 2 meet the counting identity 6 * 1 == 2 * 3 and cover all
+    # three pairs, but {0,1} lies in 3 blocks, {0,2} in 1 and {1,2} in 2
+    design = sf.BlockDesign(3, np.array([[0, 1], [0, 1], [0, 1], [0, 2], [1, 2], [1, 2]]))
+    assert not sf.verify_design(design, k=2, lam=2)
+    assert not oracles.blocks_by_pair_count(design, t=2, lam=2)
+
+
 def test_verify_design_rejects_missing_block(z13):
     design = sf.scheme_to_design(z13)
     clipped = sf.BlockDesign(design.n, design.blocks[:-1])

@@ -100,9 +100,10 @@ def test_every_base_gives_unique_grid(z17, pp17):
             assert plane.alpha == 0
 
 
-def test_degenerate_base_is_ambiguous(z13, pp13):
-    # collapsing beta = gamma leaves two candidates at the first cell
-    with pytest.raises((sf.InvalidBase, sf.AmbiguousExtension)):
+def test_degenerate_base_is_invalid(z13, pp13):
+    # collapsing beta = gamma and delta = epsilon fails the premise before
+    # any cell is built
+    with pytest.raises(sf.InvalidBase, match=r"^base points \(1, 1, 12, 12\) are not distinct$"):
         sf.build_plane(z13, pp13, 1, 0, 1, 1, 12, 12, radius=1)
 
 
@@ -241,3 +242,89 @@ def test_array_checks_match_cell_oracles(z13, z17, v25, auts):
     # each array check both passed and failed
     for k in range(3):
         assert {outcome[k] for outcome in seen} == {True, False}
+
+
+def _bases_at_origin(scheme, group):
+    """Every valid base of every s3 color at point 0, as {s: bases}, with
+    the base of sigma_0 first."""
+    pp = sf.phi_psi(scheme)
+    sigma = sf.sigma_alpha(scheme, 0, group=group)
+    return pp, {s: [sf.sigma_base(scheme, sigma, s, 0)] + sf.valid_bases(scheme, pp, s, 0)
+                for s in sorted(pp.s3)}
+
+
+def test_lockstep_planes_match_build_plane(battery, auts, c53, c101, monkeypatch):
+    # the k-th base of every color in one lockstep call, k over the sigma
+    # base and all valid bases, against build_plane on each; no plane falls
+    # back to build_plane
+    cases = [(scheme, auts[name]) for name, scheme in battery.items()]
+    cases += [(c53, sf.automorphism_group(c53)), (c101, sf.automorphism_group(c101))]
+    for scheme, group in cases:
+        pp, bases = _bases_at_origin(scheme, group)
+        for radius in (1, 2, 3):
+            for k in range(max(map(len, bases.values()), default=0)):
+                chosen = {s: b[k] for s, b in bases.items() if k < len(b)}
+                with monkeypatch.context() as patch:
+                    patch.setattr(planes, "build_plane", None)
+                    built = sf.build_planes(scheme, pp, chosen, radius=radius)
+                assert list(built) == list(chosen)
+                for s, base in chosen.items():
+                    plane = sf.build_plane(scheme, pp, s, *base, radius=radius)
+                    assert (built[s].s, built[s].base) == (s, base)
+                    assert np.array_equal(built[s].grid, plane.grid)
+                    assert not built[s].grid.flags.writeable
+
+
+def test_lockstep_keeps_crosses_and_base_errors(v25, z13, pp13):
+    # doubled-square colors get build_plane's cross; a bad base its error
+    pp = sf.phi_psi(v25)
+    bases = {s: sf.valid_bases(v25, pp, s, 0)[0] for s in (3, 1)}
+    built = sf.build_planes(v25, pp, bases)
+    assert list(built) == [3, 1]
+    for s, base in bases.items():
+        assert np.array_equal(built[s].grid, sf.build_plane(v25, pp, s, *base).grid)
+    built = sf.build_planes(z13, pp13, {2: (0, 2, 10, 11, 3), 1: (0, 1, 1, 12, 12)})
+    assert isinstance(built[1], sf.InvalidBase)
+    assert str(built[1]) == "base points (1, 1, 12, 12) are not distinct"
+    assert oracles.plane_cells(built[2]) == oracles.plane_cells(
+        sf.build_plane(z13, pp13, 2, 0, 2, 10, 11, 3))
+    with pytest.raises(ValueError, match="^radius must be at least 1$"):
+        sf.build_planes(z13, pp13, {2: (0, 2, 10, 11, 3)}, radius=0)
+    with pytest.raises(ValueError, match="^no such non-diagonal color: 4$"):
+        sf.build_planes(z13, pp13, {4: (0, 2, 10, 11, 3)})
+
+
+# A tampered color matrix (not revalidated) on which color 1's plane at
+# radius 3 fails and the other planes do not change: (scheme, entry, its new
+# color, the error build_plane raises).  On z13 only a diagonal entry gives
+# color 1 a second cell candidate and leaves colors 2 and 3 intact.
+TAMPERED = [
+    pytest.param("c53", (1, 46), 1, sf.AmbiguousExtension,
+                 "line step 2 from 0,1: candidates [2, 46]", id="c53-axis-ambiguous"),
+    pytest.param("c53", (1, 3), 1, sf.NoExtension, "line step 3 from 1,2", id="c53-axis-none"),
+    pytest.param("c53", (23, 31), 1, sf.AmbiguousExtension,
+                 "cell (1,1): candidates [24, 31]", id="c53-cell-ambiguous"),
+    pytest.param("c53", (23, 24), 2, sf.NoExtension, "cell (1,1)", id="c53-cell-none"),
+    pytest.param("z13", (5, 5), 3, sf.AmbiguousExtension,
+                 "cell (1,2): candidates [5, 11]", id="z13-cell-ambiguous"),
+    pytest.param("z13", (10, 11), 2, sf.NoExtension, "cell (1,2)", id="z13-cell-none"),
+]
+
+
+@pytest.mark.parametrize("name, entry, color, error, text", TAMPERED)
+def test_lockstep_failure_matches_build_plane(name, entry, color, error, text, request):
+    scheme = request.getfixturevalue(name)
+    pp, bases = _bases_at_origin(scheme, sf.automorphism_group(scheme))
+    chosen = {s: bases[s][0] for s in sorted(pp.s3)}
+    intact = sf.build_planes(scheme, pp, chosen)
+    tampered = scheme.color.copy()
+    tampered[entry] = color
+    broken = dataclasses.replace(scheme, color=tampered)
+
+    built = sf.build_planes(broken, pp, chosen)
+    with pytest.raises(error) as expected:
+        sf.build_plane(broken, pp, 1, *chosen[1])
+    assert (type(built[1]), str(built[1])) == (error, text) == (error, str(expected.value))
+    for s in chosen:
+        if s != 1:
+            assert np.array_equal(built[s].grid, intact[s].grid)

@@ -266,6 +266,24 @@ def test_sweep_matches_pair_oracle_on_corruptions(z17, z29, v25, c53, f9, f9_squ
     assert not _same_report(_support_kept_corruption(scheme, seed)).passed
 
 
+def test_phi_related_pair_with_four_distinct_factors(z17, c53):
+    # s and t = phi(s) multiply as 1+1+2; spread the double over a new
+    # color, so the product has four distinct factors of total 4 while the
+    # phi relation still holds
+    for scheme in (z17, c53):
+        pp = sf.phi_psi(scheme)
+        s = min(pp.s3)
+        t = pp.phi[s]
+        c = scheme.tensor.c.copy()
+        assert sorted(c[s, t][c[s, t] > 0].tolist()) == [1, 1, 2]
+        c[s, t, c[s, t] == 2] = 1
+        c[s, t, np.flatnonzero(c[s, t, 1:] == 0)[0] + 1] = 1
+        report = _same_report(_with_tensor(scheme, c))
+        assert report.violations == [
+            "product-trichotomy: product of colors %d,%d: four distinct factors but a phi "
+            "relation holds" % (s, t)]
+
+
 def test_verify_structure_counts_f9_squared(f9_squared):
     report = sf.verify_structure_lemmas(f9_squared)
     assert report.checked["independent-product-split"] == 180
