@@ -550,9 +550,7 @@ def _cmd_plane(args) -> int:
         if base is None:
             print("no valid base for color %d at point %d" % (args.s, alpha))
             return 1
-    plane = planes.build_planes(scheme, pp, {args.s: base}, radius=args.radius)[args.s]
-    if isinstance(plane, SchemeForgeError):
-        raise plane
+    plane = planes.build_plane(scheme, pp, args.s, *base, radius=args.radius)
     invariant = planes.check_rotation_invariance(scheme, plane)
     center = len(plane.grid) // 2
     if args.json:

@@ -93,11 +93,9 @@ import numpy as np
 from .scheme_core import (
     Scheme,
     SchemeForgeError,
-    _check_constancy,
     _first_occurrence_rank,
     _first_pairs,
     _path_code_blocks,
-    _scan_dual,
     canonical_relabel,
 )
 from .groups import PermGroup, _is_prime, orbits, stabilizer
@@ -293,35 +291,6 @@ def point_fission(scheme: Scheme, points, group: PermGroup | None = None,
     m = np.int64(len(delta) + 1)
     seed = (scheme.color * m + marker[:, None]) * m + marker[None, :]
     return wl_stabilize(seed, num)
-
-
-def validate_configuration(cc: CoherentConfiguration) -> None:
-    """Re-check coherence from scratch: constancy, transpose pairing, fibers.
-
-    Raises the same error types as scheme validation; used by tests
-    rather than on every construction.
-    """
-    color, num = cc.color, cc.num_colors
-    counts = np.bincount(color.ravel(), minlength=num)
-    if (counts == 0).any():
-        raise ValueError("a color index never occurs")
-    _scan_dual(color, num)
-    _check_constancy(color, num)
-    # the fiber of a point is its diagonal color; each color must meet
-    # one fiber at its start points and one at its end points
-    fiber = color.diagonal()
-    straddles = np.zeros(num, dtype=bool)
-    for ends in (fiber[:, None], fiber[None, :]):
-        straddles |= np.bincount(np.unique(color * num + ends) // num, minlength=num) > 1
-    leaves = np.zeros(num, dtype=bool)
-    leaves[fiber] = True
-    leaves &= np.bincount(color[~np.eye(cc.n, dtype=bool)], minlength=num) > 0
-    bad = straddles | leaves
-    if bad.any():
-        s = int(np.argmax(bad))
-        if straddles[s]:
-            raise SchemeForgeError("color %d straddles fibers" % s)
-        raise SchemeForgeError("diagonal color %d leaves the diagonal" % s)
 
 
 def is_semiregular_off(cc: CoherentConfiguration, alpha: int) -> bool:

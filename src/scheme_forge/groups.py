@@ -82,11 +82,6 @@ def inverse(p: Perm) -> Perm:
     return tuple(out)
 
 
-def perm_order(p: Perm) -> int:
-    """The lcm of the orbit lengths of <p>."""
-    return math.lcm(*map(len, _orbits([p], len(p))))
-
-
 def fixed_points(p: Perm) -> tuple[int, ...]:
     return tuple(i for i, v in enumerate(p) if i == v)
 

@@ -38,10 +38,6 @@ class InvalidBase(SchemeForgeError):
     """The five base points do not satisfy the plane premise."""
 
 
-class BaseMismatch(SchemeForgeError):
-    """Two planes were compared around different origins."""
-
-
 @dataclass(frozen=True, eq=False)
 class Plane:
     """grid[R + i, R + j], read-only, is the point of cell (i, j), R the
@@ -64,40 +60,6 @@ class Plane:
         inside = self.grid >= 0
         out[inside] = np.asarray(table)[self.grid[inside]]
         return out
-
-
-def _unique_point(scheme: Scheme, constraints, context: str) -> int:
-    """The single point satisfying all (point, color) constraints."""
-    mask = np.ones(scheme.n, dtype=bool)
-    for point, col in constraints:
-        mask &= scheme.color[point] == col
-    hits = np.nonzero(mask)[0]
-    if len(hits) == 0:
-        raise NoExtension(context)
-    if len(hits) > 1:
-        raise AmbiguousExtension("%s: candidates %s" % (context, [int(h) for h in hits]))
-    return int(hits[0])
-
-
-def s_line(scheme: Scheme, pp: PhiPsi, s: int, x0: int, x1: int, length: int) -> tuple[int, ...]:
-    """Extend x0, x1 to a line: each new point sees s from the last point
-    and psi(s) from the one before; uniqueness holds because c(s,s,psi(s)) = 1."""
-    if s not in pp.s3:
-        raise ValueError("color %d has a doubled square; lines need the 2u+v case" % s)
-    if scheme.color[x0, x1] != s:
-        raise ValueError("color(x0, x1) is %d, not %d" % (int(scheme.color[x0, x1]), s))
-    if length < 2:
-        return (x0, x1)[:length]
-    pts = [x0, x1]
-    psi_s = pp.psi[s]
-    while len(pts) < length:
-        nxt = _unique_point(
-            scheme,
-            ((pts[-1], s), (pts[-2], psi_s)),
-            "line step %d from %d,%d" % (len(pts), pts[-2], pts[-1]),
-        )
-        pts.append(nxt)
-    return tuple(pts)
 
 
 def _check_base(scheme: Scheme, pp: PhiPsi, s: int, base) -> None:
@@ -129,71 +91,57 @@ def _check_base(scheme: Scheme, pp: PhiPsi, s: int, base) -> None:
 def build_plane(scheme: Scheme, pp: PhiPsi, s: int, alpha: int, beta: int,
                 gamma: int, delta: int, epsilon: int,
                 radius: int = DEFAULT_RADIUS) -> Plane:
-    """Fill the window [-radius, radius]^2 (the cross for doubled squares)."""
-    base = (alpha, beta, gamma, delta, epsilon)
-    _check_base(scheme, pp, s, base)
-    if s in pp.s2:
-        grid = np.array([[-1, delta, -1], [epsilon, alpha, gamma], [-1, beta, -1]], dtype=np.int64)
-        grid.setflags(write=False)
-        return Plane(s, base, grid)
-
-    if radius < 1:
-        raise ValueError("radius must be at least 1")
-    grid = np.empty((2 * radius + 1, 2 * radius + 1), dtype=np.int64)
-    o = radius  # the row and column of the origin
-    # the axes from the origin through beta (+i), gamma (+j), delta (-i), epsilon (-j)
-    axes = (grid[o:, o], grid[o, o:], grid[o::-1, o], grid[o, o::-1])
-    for axis, second in zip(axes, (beta, gamma, delta, epsilon)):
-        axis[:] = s_line(scheme, pp, s, alpha, second, radius + 1)
-
-    phi_s = pp.phi[s]
-    for i in range(1, radius + 1):
-        for j in range(1, radius + 1):
-            for sx in (1, -1):
-                for sy in (1, -1):
-                    x, y = o + sx * i, o + sy * j
-                    grid[x, y] = _unique_point(
-                        scheme,
-                        (
-                            (grid[x - sx, y], s),
-                            (grid[x, y - sy], s),
-                            (grid[x - sx, y - sy], phi_s),
-                        ),
-                        "cell (%d,%d)" % (sx * i, sy * j),
-                    )
-    grid.setflags(write=False)
-    return Plane(s, base, grid)
+    """Fill the window [-radius, radius]^2 (the cross for doubled squares);
+    build_planes' error for this one base is raised."""
+    plane = build_planes(scheme, pp, {s: (alpha, beta, gamma, delta, epsilon)}, radius)[s]
+    if isinstance(plane, SchemeForgeError):
+        raise plane
+    return plane
 
 
 def build_planes(scheme: Scheme, pp: PhiPsi, bases: dict, radius: int = DEFAULT_RADIUS) -> dict:
-    """build_plane for each color s of bases ({s: base}), in that order, as
-    {s: Plane}, or {s: error} where build_plane raises InvalidBase,
-    NoExtension or AmbiguousExtension; its ValueErrors propagate.
+    """The plane of each color s of bases ({s: base}), in that order, as
+    {s: Plane}, or {s: error} for an InvalidBase, NoExtension or
+    AmbiguousExtension; ValueError for a diagonal or unknown color, or a
+    radius below 1 for a split-square color.
 
-    The split-square planes grow in lockstep: the four axes of every plane
-    take one line step together, then each cell (i, j), in build_plane's
-    order, is filled in all four quadrants of every plane at once.  A color
-    with a step of no or several points is rebuilt by build_plane, which
-    names the first failing step."""
+    A doubled-square color gets the cross.  The split-square planes grow in
+    lockstep: the four axes of every plane take one line step together,
+    then each cell (i, j) is filled in all four quadrants of every plane at
+    once.  A plane's error names its first step with no or several points
+    in the order of one plane built alone: the axes through beta, gamma,
+    delta and epsilon, each step by step, then the cells (i, j) in order,
+    each in the quadrants (1,1), (1,-1), (-1,1) and (-1,-1)."""
     out: dict = {}
-    lanes = []
+    lanes = {}
     for s, base in bases.items():
+        base = tuple(base)
         try:
             _check_base(scheme, pp, s, base)
         except InvalidBase as err:
             out[s] = err
             continue
-        if s in pp.s3 and radius >= 1:
-            lanes.append(s)
-        else:  # the cross, or build_plane's ValueError
-            out[s] = build_plane(scheme, pp, s, *base, radius=radius)
+        if s in pp.s2:
+            alpha, beta, gamma, delta, epsilon = base
+            grid = np.array([[-1, delta, -1], [epsilon, alpha, gamma], [-1, beta, -1]],
+                            dtype=np.int64)
+            grid.setflags(write=False)
+            out[s] = Plane(s, base, grid)
+        elif radius < 1:
+            raise ValueError("radius must be at least 1")
+        else:
+            lanes[s] = base
     if lanes:
-        out.update(_lockstep_planes(scheme, pp, {s: tuple(bases[s]) for s in lanes}, radius))
+        out.update(_lockstep_planes(scheme, pp, lanes, radius))
     return {s: out[s] for s in bases}
 
 
 def _lockstep_planes(scheme: Scheme, pp: PhiPsi, bases: dict, radius: int) -> dict:
-    """build_planes for split-square colors whose bases passed _check_base."""
+    """build_planes for split-square colors whose bases passed _check_base.
+
+    A lane's points are right up to its own first failing step, and no lane
+    reads another's, so each plane keeps the failure that comes first in
+    the order of one plane built alone, whatever order the lockstep takes."""
     colors = list(bases)
     o, side = radius, 2 * radius + 1
     grids = np.empty((len(colors), side, side), dtype=np.int64)
@@ -205,11 +153,12 @@ def _lockstep_planes(scheme: Scheme, pp: PhiPsi, bases: dict, radius: int) -> di
     sx, sy = np.array([1, 1, -1, -1]), np.array([1, -1, 1, -1])
     s, psi, phi = (np.repeat(np.array(v, dtype=np.int64), 4)
                    for v in (colors, [pp.psi[c] for c in colors], [pp.phi[c] for c in colors]))
-    built = np.ones(len(colors), dtype=bool)
+    failed: dict = {}  # plane -> (order of its step, error)
 
     def step(x, y, constraints):
         """Fill cell (x, y) of every lane: the point meeting each
-        (cell x, cell y, color) constraint, unique or not."""
+        (cell x, cell y, color) constraint, unique or not.  Returns
+        {lane: its candidates} for the lanes with no or several."""
         (fx, fy, col), *rest = constraints
         first = grids[:, fx, fy].ravel()
         lane, point = np.nonzero(scheme.color[first] == col[:, None])
@@ -219,30 +168,33 @@ def _lockstep_planes(scheme: Scheme, pp: PhiPsi, bases: dict, radius: int) -> di
         found = first.copy()  # an in-range point for a lane with none
         found[lane] = point
         grids[:, x, y] = found.reshape(-1, 4)
-        unique = np.bincount(lane, minlength=len(first)) == 1
-        built[:] &= unique.reshape(-1, 4).all(axis=1)
+        counts = np.bincount(lane, minlength=len(first))
+        return {int(k): point[lane == k].tolist() for k in np.flatnonzero(counts != 1)}
+
+    def fail(plane, order, context, candidates):
+        if plane not in failed or order < failed[plane][0]:
+            failed[plane] = (order, AmbiguousExtension("%s: candidates %s" % (context, candidates))
+                             if candidates else NoExtension(context))
 
     grids[:, o, o] = start[:, 0]
     grids[:, o + di, o + dj] = start[:, 1:]
     for t in range(2, radius + 1):
-        step(o + t * di, o + t * dj, [(o + (t - 1) * di, o + (t - 1) * dj, s),
-                                      (o + (t - 2) * di, o + (t - 2) * dj, psi)])
+        last, before = (o + (t - 1) * di, o + (t - 1) * dj), (o + (t - 2) * di, o + (t - 2) * dj)
+        for k, candidates in step(o + t * di, o + t * dj, [(*last, s), (*before, psi)]).items():
+            p, q = divmod(k, 4)
+            fail(p, (0, q, t), "line step %d from %d,%d" % (
+                t, grids[p, before[0][q], before[1][q]], grids[p, last[0][q], last[1][q]]),
+                candidates)
     for i in range(1, radius + 1):
         for j in range(1, radius + 1):
             x, y = o + sx * i, o + sy * j
-            step(x, y, [(x - sx, y, s), (x, y - sy, s), (x - sx, y - sy, phi)])
+            for k, candidates in step(x, y, [(x - sx, y, s), (x, y - sy, s),
+                                             (x - sx, y - sy, phi)]).items():
+                p, q = divmod(k, 4)
+                fail(p, (1, i, j, q), "cell (%d,%d)" % (sx[q] * i, sy[q] * j), candidates)
     grids.setflags(write=False)
-
-    out = {}
-    for c, grid, ok in zip(colors, grids, built):
-        if ok:
-            out[c] = Plane(c, bases[c], grid)
-            continue
-        try:
-            out[c] = build_plane(scheme, pp, c, *bases[c], radius=radius)
-        except (NoExtension, AmbiguousExtension) as err:
-            out[c] = err
-    return out
+    return {c: failed[p][1] if p in failed else Plane(c, bases[c], grids[p])
+            for p, c in enumerate(colors)}
 
 
 def check_rotation_invariance(scheme: Scheme, plane: Plane) -> bool:
@@ -250,23 +202,6 @@ def check_rotation_invariance(scheme: Scheme, plane: Plane) -> bool:
     colors from alpha, as an array over the cells, equal their quarter turn."""
     colors = plane.image(scheme.color[plane.alpha])
     return bool(np.array_equal(colors, np.rot90(colors)))
-
-
-def check_sim(scheme: Scheme, alpha: int, plane_s: Plane, plane_t: Plane) -> bool:
-    """Cross-plane colors are preserved by a simultaneous quarter turn.
-
-    Certifies color(P_s(c1), P_t(c2)) = color(P_s(rot c1), P_t(rot c2))
-    for all window cells: the (cells x cells) color block of the two planes
-    equals the block of both planes turned.
-    """
-    centers = [int(p.grid[len(p.grid) // 2, len(p.grid) // 2]) for p in (plane_s, plane_t)]
-    if centers != [alpha, alpha]:
-        raise BaseMismatch("planes sit at %d and %d, expected %d" % (*centers, alpha))
-    a, b = plane_s.grid, plane_t.grid
-    cells_a, cells_b = a >= 0, b >= 0
-    before = scheme.color[np.ix_(a[cells_a], b[cells_b])]
-    after = scheme.color[np.ix_(np.rot90(a)[cells_a], np.rot90(b)[cells_b])]
-    return bool(np.array_equal(before, after))
 
 
 def misaligned_cell(plane: Plane, sigma) -> tuple[int, int] | None:

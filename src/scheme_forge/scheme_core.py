@@ -385,13 +385,6 @@ def indistinguishing_number(scheme: Scheme, s: int) -> int:
     return int(c[us, scheme.dual[us], s].sum())
 
 
-def scheme_indistinguishing(scheme: Scheme) -> int:
-    """Maximum indistinguishing number over non-diagonal colors (0 if none)."""
-    if scheme.r < 2:
-        return 0
-    return max(indistinguishing_number(scheme, s) for s in scheme.nondiagonal())
-
-
 def is_pseudocyclic(scheme: Scheme) -> bool:
     """k-equivalenced with every indistinguishing number equal to k - 1."""
     k = is_k_equivalenced(scheme)
@@ -400,16 +393,6 @@ def is_pseudocyclic(scheme: Scheme) -> bool:
     return all(
         indistinguishing_number(scheme, s) == k - 1 for s in scheme.nondiagonal()
     )
-
-
-def product_inner(scheme: Scheme, s: int, t: int, u: int, v: int) -> int:
-    """Hermitian product of the matrix products A_s A_t and A_u A_v.
-
-    Equals sum over w of c(s,t,w) * c(u,v,w) * n_w, since distinct color
-    matrices are orthogonal with <A_w, A_w> = n_w.
-    """
-    c = scheme.tensor.c
-    return int((c[s, t] * c[u, v] * scheme.valencies).sum())
 
 
 # --- scheme text format (.asc) ---
@@ -501,18 +484,22 @@ def _parse_matrix(body: str, n: int, r: int) -> np.ndarray:
 
 
 def _parse_rows(lines: list[str], n: int, r: int) -> np.ndarray:
-    """Parse row by row, so the error names the first malformed row."""
-    mat = np.empty((n, n), dtype=np.int64)
-    for i, line in enumerate(lines):
+    """Parse row by row, so the error names the first malformed row.  Token
+    counts are checked first, and only the rows before the first wrong
+    count are allocated, so a header that no rows back costs no n x n array."""
+    sizes = [len(line.split()) for line in lines]
+    full = next((i for i, size in enumerate(sizes) if size != n), len(lines))
+    mat = np.empty((full, n), dtype=np.int64)
+    for i, line in enumerate(lines[:full]):
         parts = line.split()
-        if len(parts) != n:
-            raise FormatError("row %d has %d entries, expected %d" % (i, len(parts), n))
         try:
             mat[i] = [int(p) for p in parts]
         except ValueError:
             raise FormatError("row %d has a non-integer entry" % i) from None
         except OverflowError:
             raise FormatError("color entries must lie in 0..%d" % (r - 1)) from None
+    if full < len(lines):
+        raise FormatError("row %d has %d entries, expected %d" % (full, sizes[full], n))
     return mat
 
 

@@ -11,7 +11,8 @@ import math
 import numpy as np
 
 import scheme_forge as sf
-from scheme_forge import DualViolation, NonConstantIntersection, groups
+from scheme_forge import DualViolation, NonConstantIntersection, groups, planes
+from scheme_forge.scheme_core import SchemeForgeError, _check_constancy, _scan_dual
 
 
 def adjacency_matrices(scheme):
@@ -122,6 +123,16 @@ def inner_by_trace(scheme, s, t, u, v):
     return int(np.trace(left @ right.T)) // scheme.n
 
 
+def product_inner(scheme, s, t, u, v):
+    """Hermitian product of the matrix products A_s A_t and A_u A_v.
+
+    Equals sum over w of c(s,t,w) * c(u,v,w) * n_w, since distinct color
+    matrices are orthogonal with <A_w, A_w> = n_w.
+    """
+    c = scheme.tensor.c
+    return int((c[s, t] * c[u, v] * scheme.valencies).sum())
+
+
 def valency_by_rows(scheme, s):
     counts = {int((scheme.color[x] == s).sum()) for x in range(scheme.n)}
     assert len(counts) == 1
@@ -137,6 +148,22 @@ def indistinguishing_by_count(scheme, s):
         for z in range(scheme.n)
         if scheme.color[x, z] == scheme.color[y, z] and scheme.color[x, z] != 0
     )
+
+
+def scheme_indistinguishing(scheme):
+    """Maximum indistinguishing number over non-diagonal colors (0 if none)."""
+    if scheme.r < 2:
+        return 0
+    return max(sf.indistinguishing_number(scheme, s) for s in scheme.nondiagonal())
+
+
+def perm_order(p):
+    """The least k >= 1 with p^k the identity, by repeated composition."""
+    identity = tuple(range(len(p)))
+    power, k = tuple(p), 1
+    while power != identity:
+        power, k = tuple(p[x] for x in power), k + 1
+    return k
 
 
 def is_automorphism(color, img):
@@ -612,3 +639,104 @@ def sim_by_cells(scheme, plane_s, plane_t):
         for c1 in gs if rotate(c1) in gs
         for c2 in gt if rotate(c2) in gt
     )
+
+
+def validate_configuration(cc):
+    """Re-check coherence from scratch: constancy, transpose pairing, fibers.
+
+    Raises the same error types as scheme validation.
+    """
+    color, num = cc.color, cc.num_colors
+    counts = np.bincount(color.ravel(), minlength=num)
+    if (counts == 0).any():
+        raise ValueError("a color index never occurs")
+    _scan_dual(color, num)
+    _check_constancy(color, num)
+    # the fiber of a point is its diagonal color; each color must meet
+    # one fiber at its start points and one at its end points
+    fiber = color.diagonal()
+    straddles = np.zeros(num, dtype=bool)
+    for ends in (fiber[:, None], fiber[None, :]):
+        straddles |= np.bincount(np.unique(color * num + ends) // num, minlength=num) > 1
+    leaves = np.zeros(num, dtype=bool)
+    leaves[fiber] = True
+    leaves &= np.bincount(color[~np.eye(cc.n, dtype=bool)], minlength=num) > 0
+    bad = straddles | leaves
+    if bad.any():
+        s = int(np.argmax(bad))
+        if straddles[s]:
+            raise SchemeForgeError("color %d straddles fibers" % s)
+        raise SchemeForgeError("diagonal color %d leaves the diagonal" % s)
+
+
+def _unique_point(scheme, constraints, context):
+    """The single point satisfying all (point, color) constraints."""
+    mask = np.ones(scheme.n, dtype=bool)
+    for point, col in constraints:
+        mask &= scheme.color[point] == col
+    hits = np.nonzero(mask)[0]
+    if len(hits) == 0:
+        raise sf.NoExtension(context)
+    if len(hits) > 1:
+        raise sf.AmbiguousExtension("%s: candidates %s" % (context, [int(h) for h in hits]))
+    return int(hits[0])
+
+
+def s_line(scheme, pp, s, x0, x1, length):
+    """Extend x0, x1 to a line: each new point sees s from the last point
+    and psi(s) from the one before; uniqueness holds because c(s,s,psi(s)) = 1."""
+    if s not in pp.s3:
+        raise ValueError("color %d has a doubled square; lines need the 2u+v case" % s)
+    if scheme.color[x0, x1] != s:
+        raise ValueError("color(x0, x1) is %d, not %d" % (int(scheme.color[x0, x1]), s))
+    if length < 2:
+        return (x0, x1)[:length]
+    pts = [x0, x1]
+    psi_s = pp.psi[s]
+    while len(pts) < length:
+        nxt = _unique_point(
+            scheme,
+            ((pts[-1], s), (pts[-2], psi_s)),
+            "line step %d from %d,%d" % (len(pts), pts[-2], pts[-1]),
+        )
+        pts.append(nxt)
+    return tuple(pts)
+
+
+def plane_by_cells(scheme, pp, s, alpha, beta, gamma, delta, epsilon,
+                   radius=planes.DEFAULT_RADIUS):
+    """One plane, axis by axis and cell by cell, each point by its own scan
+    of the n points; the first step with no or several points raises."""
+    base = (alpha, beta, gamma, delta, epsilon)
+    planes._check_base(scheme, pp, s, base)
+    if s in pp.s2:
+        grid = np.array([[-1, delta, -1], [epsilon, alpha, gamma], [-1, beta, -1]], dtype=np.int64)
+        grid.setflags(write=False)
+        return sf.Plane(s, base, grid)
+
+    if radius < 1:
+        raise ValueError("radius must be at least 1")
+    grid = np.empty((2 * radius + 1, 2 * radius + 1), dtype=np.int64)
+    o = radius  # the row and column of the origin
+    # the axes from the origin through beta (+i), gamma (+j), delta (-i), epsilon (-j)
+    axes = (grid[o:, o], grid[o, o:], grid[o::-1, o], grid[o, o::-1])
+    for axis, second in zip(axes, (beta, gamma, delta, epsilon)):
+        axis[:] = s_line(scheme, pp, s, alpha, second, radius + 1)
+
+    phi_s = pp.phi[s]
+    for i in range(1, radius + 1):
+        for j in range(1, radius + 1):
+            for sx in (1, -1):
+                for sy in (1, -1):
+                    x, y = o + sx * i, o + sy * j
+                    grid[x, y] = _unique_point(
+                        scheme,
+                        (
+                            (grid[x - sx, y], s),
+                            (grid[x, y - sy], s),
+                            (grid[x - sx, y - sy], phi_s),
+                        ),
+                        "cell (%d,%d)" % (sx * i, sy * j),
+                    )
+    grid.setflags(write=False)
+    return sf.Plane(s, base, grid)

