@@ -10,7 +10,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,16 +53,7 @@ class Report:
             "n": self.n,
             "r": self.r,
             "k": self.k,
-            "checks": [
-                {
-                    "name": c.name,
-                    "operation": c.operation,
-                    "statement": c.statement,
-                    "status": c.status,
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
             "summary": {
                 "pass": sum(1 for c in self.checks if c.status == "pass"),
                 "fail": sum(1 for c in self.checks if c.status == "fail"),
@@ -152,15 +143,32 @@ def _origin_planes(ctx) -> dict:
     return out
 
 
-def _from_structure(ctx, key):
+# Each hypothesis a check may need: whether it holds on the report context,
+# and the n/a detail when it does not, formatted with the context.
+HYPOTHESES = {
+    "even k": (lambda ctx: ctx["k"] is not None and ctx["k"] % 2 == 0,
+               "no even common valency"),
+    "symmetric": (lambda ctx: ctx["symmetric"], "scheme is not symmetric"),
+    "k=4": (lambda ctx: ctx["k"] == 4, "needs common valency 4"),
+    "k=4, r>=3": (lambda ctx: ctx["k"] == 4 and ctx["scheme"].r >= 3,
+                  "needs common valency 4 and at least 2 non-diagonal colors"),
+    "k=4, r>=4": (lambda ctx: ctx["k"] == 4 and ctx["scheme"].r >= 4,
+                  "needs common valency 4 and at least 3 non-diagonal colors"),
+    "r>=5": (lambda ctx: ctx["scheme"].r >= 5, "fewer than 4 non-diagonal colors"),
+    "s3": (lambda ctx: ctx["pp"] is not None and bool(ctx["pp"].s3),
+           "no color with a 2u+v square"),
+    "aut": (lambda ctx: ctx["aut"] is not None, "skipped: {aut_error}"),
+    "sigma at 0": (lambda ctx: ctx["sigma"].get(0) is not None,
+                   "no rotation automorphism at point 0"),
+}
+
+
+def _from_structure(key, ctx):
     report = ctx["structure"]
-    if report is None:
-        return NA, "needs common valency 4"
     bad = [v for v in report.violations if v.startswith(key + ":")]
-    count = report.checked.get(key, 0)
     if bad:
         return "fail", "; ".join(bad)
-    return "pass", "%d instances checked" % count
+    return "pass", "%d instances checked" % report.checked.get(key, 0)
 
 
 def _check_axioms(ctx):
@@ -177,24 +185,18 @@ def _check_four_equivalenced(ctx):
 
 def _check_even_symmetry(ctx):
     k = ctx["k"]
-    if k is None or k % 2 != 0:
-        return NA, "no even common valency"
     if ctx["symmetric"]:
         return "pass", "k=%d even and every color is self-dual" % k
     return "fail", "k=%d even but some color differs from its dual" % k
 
 
 def _check_commutative(ctx):
-    if not ctx["symmetric"]:
-        return NA, "scheme is not symmetric"
     if scheme_core.is_commutative(ctx["scheme"]):
         return "pass", "c(s,t,u) = c(t,s,u) throughout"
     return "fail", "a pair of colors fails to commute"
 
 
 def _check_pseudocyclic(ctx):
-    if ctx["k"] != 4:
-        return NA, "needs common valency 4"
     s = ctx["scheme"]
     values = [scheme_core.indistinguishing_number(s, c) for c in s.nondiagonal()]
     if all(v == 3 for v in values):
@@ -203,45 +205,14 @@ def _check_pseudocyclic(ctx):
 
 
 def _check_dichotomy(ctx):
-    if ctx["k"] != 4:
-        return NA, "needs common valency 4"
     if ctx["pp"] is None:
-        status, detail = _from_structure(ctx, "square-dichotomy")
+        status, detail = _from_structure("square-dichotomy", ctx)
         return status, detail.removeprefix("square-dichotomy: ")
     pp = ctx["pp"]
     return "pass", "|s2|=%d |s3|=%d" % (len(pp.s2), len(pp.s3))
 
 
-def _check_trichotomy(ctx):
-    return _from_structure(ctx, "product-trichotomy")
-
-
-def _check_bijections(ctx):
-    return _from_structure(ctx, "phi-psi-bijections")
-
-
-def _check_partner(ctx):
-    if ctx["structure"] is None:
-        return NA, "needs common valency 4"
-    if ctx["scheme"].r < 5:
-        return NA, "fewer than 4 non-diagonal colors"
-    return _from_structure(ctx, "four-product-partner")
-
-
-def _check_independent_split(ctx):
-    return _from_structure(ctx, "independent-product-split")
-
-
-def _check_split_bound(ctx):
-    return _from_structure(ctx, "split-intersection-bound")
-
-
 def _check_sigma_alpha(ctx):
-    pp = ctx["pp"]
-    if pp is None or not pp.s3:
-        return NA, "no color with a 2u+v square"
-    if ctx["aut"] is None:
-        return NA, "skipped: %s" % ctx["aut_error"]
     missing = [alpha for alpha in ctx["points"] if ctx["sigma"].get(alpha) is None]
     if missing:
         return "fail", "no rotation automorphism at points %s" % missing
@@ -249,9 +220,6 @@ def _check_sigma_alpha(ctx):
 
 
 def _check_plane_rotation(ctx):
-    pp = ctx["pp"]
-    if pp is None or not pp.s3:
-        return NA, "no color with a 2u+v square"
     for s, plane in ctx["planes"].items():
         if isinstance(plane, str):
             return "fail", plane
@@ -264,13 +232,7 @@ def _check_plane_rotation(ctx):
 
 
 def _check_plane_alignment(ctx):
-    pp = ctx["pp"]
-    if pp is None or not pp.s3:
-        return NA, "no color with a 2u+v square"
-    sigma = ctx["sigma"].get(0)
-    if sigma is None:
-        return NA, "no rotation automorphism at point 0"
-    sigma = np.asarray(sigma)
+    sigma = np.asarray(ctx["sigma"][0])
     for s, plane in ctx["planes"].items():
         if isinstance(plane, str):
             return "fail", plane
@@ -281,20 +243,12 @@ def _check_plane_alignment(ctx):
 
 
 def _check_rigidity(ctx):
-    if ctx["k"] != 4 or ctx["scheme"].r < 4:
-        return NA, "needs common valency 4 and at least 3 non-diagonal colors"
-    if ctx["aut"] is None:
-        return NA, "skipped: %s" % ctx["aut_error"]
     if groups.two_point_rigidity(ctx["scheme"], ctx["aut"]):
         return "pass", "only the identity fixes two points"
     return "fail", "a non-identity automorphism fixes two points"
 
 
 def _check_witness(ctx):
-    if ctx["k"] != 4:
-        return NA, "needs common valency 4"
-    if ctx["aut"] is None:
-        return NA, "skipped: %s" % ctx["aut_error"]
     if groups.frobenius_witness(ctx["scheme"], ctx["aut"]) is None:
         return "fail", "no Frobenius subgroup reproduces the colors"
     # the lemma in frobenius_witness gives kernel n and stabiliser 4
@@ -303,8 +257,6 @@ def _check_witness(ctx):
 
 
 def _check_semiregular(ctx):
-    if ctx["k"] != 4 or ctx["scheme"].r < 3:
-        return NA, "needs common valency 4 and at least 2 non-diagonal colors"
     for alpha in ctx["points"]:
         if not fission.is_semiregular_off(ctx["fissions"][alpha], alpha):
             return "fail", "fission at point %d is not semiregular" % alpha
@@ -312,8 +264,6 @@ def _check_semiregular(ctx):
 
 
 def _check_fiber_rows(ctx):
-    if ctx["k"] != 4 or ctx["scheme"].r < 3:
-        return NA, "needs common valency 4 and at least 2 non-diagonal colors"
     scheme = ctx["scheme"]
     for alpha in ctx["points"]:
         if not fission.fibers_refine_rows(scheme, ctx["fissions"][alpha], alpha):
@@ -322,8 +272,6 @@ def _check_fiber_rows(ctx):
 
 
 def _check_base_number(ctx):
-    if ctx["k"] != 4:
-        return NA, "needs common valency 4"
     scheme = ctx["scheme"]
     pp = ctx["pp"]
     if pp is not None and pp.s2 and scheme.r >= 3:
@@ -351,72 +299,86 @@ def _check_base_number(ctx):
 
 
 def _check_design(ctx):
-    if ctx["k"] != 4:
-        return NA, "needs common valency 4"
     design = designs.scheme_to_design(ctx["scheme"])
     if designs.verify_design(design, k=4, lam=3):
         return "pass", "%d blocks, every pair in exactly 3" % len(design.blocks)
     return "fail", "%d blocks fail the 2-design count" % len(design.blocks)
 
 
+# (name, operation, statement, hypotheses in the order they are tested, check)
 CHECKS = (
     ("scheme-axioms", "validate",
-     "diagonal color, dual pairing and constant intersection numbers", _check_axioms),
+     "diagonal color, dual pairing and constant intersection numbers", (), _check_axioms),
     ("four-equivalenced", "is_k_equivalenced",
-     "every non-diagonal relation has valency 4", _check_four_equivalenced),
+     "every non-diagonal relation has valency 4", (), _check_four_equivalenced),
     ("even-valency-symmetry", "is_symmetric",
-     "an even common valency forces every relation to be self-paired", _check_even_symmetry),
+     "an even common valency forces every relation to be self-paired", ("even k",),
+     _check_even_symmetry),
     ("symmetry-commutativity", "is_commutative",
-     "symmetric schemes are commutative", _check_commutative),
+     "symmetric schemes are commutative", ("symmetric",), _check_commutative),
     ("pseudocyclic", "is_pseudocyclic",
-     "common valency 4 forces every indistinguishing number to be 3", _check_pseudocyclic),
+     "common valency 4 forces every indistinguishing number to be 3", ("k=4",),
+     _check_pseudocyclic),
     ("square-dichotomy", "phi_psi",
-     "each color square is 4*1 + 3s or 4*1 + 2u + v", _check_dichotomy),
+     "each color square is 4*1 + 3s or 4*1 + 2u + v", ("k=4",), _check_dichotomy),
     ("product-trichotomy", "product_class",
-     "distinct-color products take one of three shapes decided by phi", _check_trichotomy),
+     "distinct-color products take one of three shapes decided by phi", ("k=4",),
+     functools.partial(_from_structure, "product-trichotomy")),
     ("phi-psi-bijections", "verify_structure_lemmas",
-     "phi and psi permute the 2u+v colors with psi = phi o phi", _check_bijections),
+     "phi and psi permute the 2u+v colors with psi = phi o phi", ("k=4",),
+     functools.partial(_from_structure, "phi-psi-bijections")),
     ("four-product-partner", "complex_product",
      "with at least 4 non-diagonal colors, every color has a partner with a 4-element product",
-     _check_partner),
+     ("k=4", "r>=5"), functools.partial(_from_structure, "four-product-partner")),
     ("independent-product-split", "wr",
-     "colors with disjoint closures multiply into 4 new colors", _check_independent_split),
+     "colors with disjoint closures multiply into 4 new colors", ("k=4",),
+     functools.partial(_from_structure, "independent-product-split")),
     ("split-intersection-bound", "complex_product",
      "phi-image and psi-image products of independent pairs share at most one color",
-     _check_split_bound),
+     ("k=4",), functools.partial(_from_structure, "split-intersection-bound")),
     ("sigma-alpha", "sigma_alpha",
-     "each point admits an order-4 automorphism rotating its rows", _check_sigma_alpha),
+     "each point admits an order-4 automorphism rotating its rows", ("s3", "aut"),
+     _check_sigma_alpha),
     ("plane-rotation", "check_rotation_invariance",
-     "colors from the origin are constant on quarter-turn orbits of the plane",
+     "colors from the origin are constant on quarter-turn orbits of the plane", ("s3",),
      _check_plane_rotation),
     ("plane-alignment", "build_plane",
-     "the rotation automorphism carries plane cell (i,j) to cell (-j,i)", _check_plane_alignment),
+     "the rotation automorphism carries plane cell (i,j) to cell (-j,i)",
+     ("s3", "sigma at 0"), _check_plane_alignment),
     ("two-point-rigidity", "two_point_rigidity",
-     "an automorphism fixing two points is the identity", _check_rigidity),
+     "an automorphism fixing two points is the identity", ("k=4, r>=4", "aut"),
+     _check_rigidity),
     ("frobenius-witness", "frobenius_witness",
-     "some Frobenius permutation group has exactly these orbitals", _check_witness),
+     "some Frobenius permutation group has exactly these orbitals", ("k=4", "aut"),
+     _check_witness),
     ("fission-semiregularity", "is_semiregular_off",
-     "individualizing one point leaves a semiregular configuration off it", _check_semiregular),
+     "individualizing one point leaves a semiregular configuration off it", ("k=4, r>=3",),
+     _check_semiregular),
     ("fission-fiber-rows", "point_fission",
-     "fibers of a one-point fission refine that point's relation rows", _check_fiber_rows),
+     "fibers of a one-point fission refine that point's relation rows", ("k=4, r>=3",),
+     _check_fiber_rows),
     ("base-number", "base_number",
      "two points, one pair with a doubled-square color, force the discrete fission",
-     _check_base_number),
+     ("k=4",), _check_base_number),
     ("block-design", "verify_design",
-     "relation rows form a 2-design with block size 4 and pair count 3", _check_design),
+     "relation rows form a 2-design with block size 4 and pair count 3", ("k=4",),
+     _check_design),
 )
 
 
 def build_report(scheme: Scheme, source: str, bound: int = groups.DEFAULT_BOUND,
                  cutoff: int = fission.DEFAULT_CUTOFF,
                  radius: int = planes.DEFAULT_RADIUS) -> Report:
-    """Run every registered check in registry order."""
+    """Run every registered check in registry order; a check whose
+    hypotheses do not all hold is n/a with the first unmet one's detail."""
     ctx = _build_context(scheme, source, bound, cutoff, radius)
-    results = tuple(
-        CheckResult(name, operation, statement, *func(ctx))
-        for name, operation, statement, func in CHECKS
-    )
-    return Report(source, scheme.n, scheme.r, ctx["k"], results)
+    results = []
+    for name, operation, statement, hypotheses, check in CHECKS:
+        unmet = [text for holds, text in map(HYPOTHESES.__getitem__, hypotheses)
+                 if not holds(ctx)]
+        status, detail = (NA, unmet[0].format_map(ctx)) if unmet else check(ctx)
+        results.append(CheckResult(name, operation, statement, status, detail))
+    return Report(source, scheme.n, scheme.r, ctx["k"], tuple(results))
 
 
 def _print_report(report: Report) -> None:
@@ -712,7 +674,7 @@ def _cmd_report(args) -> int:
     try:
         scheme = scheme_core.load_asc(args.file)
     except _AXIOM_ERRORS as err:
-        name, operation, statement, _ = CHECKS[0]
+        name, operation, statement, *_ = CHECKS[0]
         detail = "%s: %s" % (type(err).__name__, err)
         failure = Report(
             args.file, 0, 0, None, (CheckResult(name, operation, statement, "fail", detail),)

@@ -220,7 +220,7 @@ def _check_constancy(color: np.ndarray, r: int, rows=None) -> tuple[np.ndarray, 
         code, x, y = witness
         u = int(color[x, y])
         s, t = divmod(code, r)
-        xu, yu = np.argwhere(color == u)[0]
+        xu, yu = firsts[0][u], firsts[1][u]
         raise NonConstantIntersection(
             s, t, u, (x, y),
             int(np.count_nonzero(color[xu] * r + color[:, yu] == code)),

@@ -41,10 +41,18 @@ MUTANTS = [
      "            if not unstable.any():\n",
      "            if True:\n",
      "tests/test_fission.py::test_colliding_evaluations_fall_back_to_exact_splits"),
+    ("semiregularity skips the first repeated color", "fission.py",
+     "touching[repeated]",
+     "touching[repeated[1:]]",
+     "tests/test_fission.py::test_semiregular_off_sees_a_lone_repeated_color"),
     ("constancy checked on row 0 only", "scheme_core.py",
      "_check_constancy(mat, r, _orbit_minima(mat, r))",
      "_check_constancy(mat, r, [0])",
      "tests/test_constancy.py::test_corruption_seen_only_by_last_block"),
+    ("constancy checked on row 0 only", "scheme_core.py",
+     "_check_constancy(mat, r, _orbit_minima(mat, r))",
+     "_check_constancy(mat, r, [0])",
+     "tests/test_constancy.py::test_corruption_matches_oracle"),
     ("dual accepted unchecked", "scheme_core.py",
      "        if np.array_equal(dual[mat], mat.T):\n",
      "        if True:\n",

@@ -272,6 +272,60 @@ def test_report_json_is_unchanged(battery, c53, c101, v125, tmp_path, capsys, mo
     assert digests == REPORT_JSON_SHA256
 
 
+# sha256 of `report NAME.asc --json` and `report NAME.asc --bound 1 --json`
+# off the ladder, where the checks' hypotheses fail: together these reach
+# every n/a text of the report
+REPORT_NA_SHA256 = {
+    "f9": "96379ee2dbbff91e734de3f96d7a92c144c7253b504ed5289b4b86807e5c0728",
+    "f9 --bound 1": "65b3564a642cebc0b29b9f53e9bfecc4fe94069c281a9074523e168e51de7556",
+    "f9sq": "e0c48faaef26a9fe64fcea83ec3905b0ff028c4aaa840b18e726f1c8f2769604",
+    "f9sq --bound 1": "52745ba7246f50855a95588e6e3309796db637873ff60e540985552077c526af",
+    "thin12": "f3d527c94d0bc9be03ab536fcd1e6c4cf030800188fc5c80ab9d0d843cdc1f39",
+    "thin12 --bound 1": "f3d527c94d0bc9be03ab536fcd1e6c4cf030800188fc5c80ab9d0d843cdc1f39",
+    "paley13": "d1a361df5b6aa5ab403d4dcdeebd33872999c6b76bc623d6e907fae1d22c68cb",
+    "paley13 --bound 1": "d1a361df5b6aa5ab403d4dcdeebd33872999c6b76bc623d6e907fae1d22c68cb",
+    "k1": "e4882a8386b84e7c96f86bec11fa114866ea4feaf50bb24e54a90592bf15e748",
+    "k1 --bound 1": "e4882a8386b84e7c96f86bec11fa114866ea4feaf50bb24e54a90592bf15e748",
+    "k2": "043c3dd16b9c54ab2fe34aac53f4c74f79f21f0306b1cb1d9bdec9e788578651",
+    "k2 --bound 1": "043c3dd16b9c54ab2fe34aac53f4c74f79f21f0306b1cb1d9bdec9e788578651",
+    "k3": "2deb5b042ebf40628a9aa5604dd31b3a0630a75de4532b9913a70d16b47a4b13",
+    "k3 --bound 1": "2deb5b042ebf40628a9aa5604dd31b3a0630a75de4532b9913a70d16b47a4b13",
+    "k4": "6c484c13beaeb718a6665eb0ceca8ba19136de29e30e55c9b8319587c45734ab",
+    "k4 --bound 1": "6c484c13beaeb718a6665eb0ceca8ba19136de29e30e55c9b8319587c45734ab",
+    "k6": "17515af3180be83a414b859bdd549b9772ef8baf342ff5e5365a85f13d8e6a1a",
+    "k6 --bound 1": "17515af3180be83a414b859bdd549b9772ef8baf342ff5e5365a85f13d8e6a1a",
+    "k222": "12e6e4a2a394a68155d5c56317176f5c698d5d3e2b9e386a205c3ad36c76f728",
+    "k222 --bound 1": "12e6e4a2a394a68155d5c56317176f5c698d5d3e2b9e386a205c3ad36c76f728",
+    "rook": "1ce07b7b214f452cf0f5284c2763acebccf12e3906096d8d26ca21fbf4acecd4",
+    "rook --bound 1": "1ce07b7b214f452cf0f5284c2763acebccf12e3906096d8d26ca21fbf4acecd4",
+    "shrikhande": "b1fc1ccbfcf244a417bc190cc9b5ac1842fec6b3374c480a3d8a1cd586b8d4ce",
+    "shrikhande --bound 1": "b1fc1ccbfcf244a417bc190cc9b5ac1842fec6b3374c480a3d8a1cd586b8d4ce",
+}
+
+
+def test_report_na_json_is_unchanged(f9, f9_squared, paley13, rook, shrikhande, tmp_path,
+                                     capsys, monkeypatch):
+    points = np.arange(12)
+    # K_{2,2,2}: color 1 across the parts {0,1}, {2,3}, {4,5}, color 2 within
+    part = np.arange(6) // 2
+    octahedron = np.where(part[:, None] == part[None, :], 2, 1)
+    np.fill_diagonal(octahedron, 0)
+    schemes = {"f9": f9, "f9sq": f9_squared,
+               "thin12": sf.from_matrix((points[None, :] - points[:, None]) % 12),
+               "paley13": paley13,
+               **{"k%d" % n: sf.from_matrix(1 - np.eye(n, dtype=int)) for n in (1, 2, 3, 4, 6)},
+               "k222": sf.from_matrix(octahedron), "rook": rook, "shrikhande": shrikhande}
+    monkeypatch.chdir(tmp_path)
+    digests = {}
+    for name, scheme in schemes.items():
+        sf.save_asc(scheme, name + ".asc")
+        for flags in ([], ["--bound", "1"]):
+            run(["report", name + ".asc", *flags, "--json"])
+            key = " ".join([name, *flags])
+            digests[key] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == REPORT_NA_SHA256
+
+
 # sha256 of `fission NAME.asc ARGS` stdout, recorded from the FissionReport
 # summary that the command's own reading of the configuration replaced
 FISSION_SHA256 = {

@@ -399,6 +399,13 @@ def test_rank_two_not_semiregular(z5):
     assert not sf.is_semiregular_off(cfg, 0)
 
 
+def test_semiregular_off_sees_a_lone_repeated_color():
+    # color 9, twice in row 1, is the only color of out-degree 2, and it
+    # touches neither row 0 nor column 0
+    color = np.array([[0, 1, 2, 3], [4, 5, 9, 9], [6, 7, 8, 10], [11, 12, 13, 14]])
+    assert not sf.is_semiregular_off(fission.CoherentConfiguration(color, 15), 0)
+
+
 def test_semiregular_needs_singleton_fiber(z13):
     cfg = sf.wl_stabilize(z13.color)  # nothing individualized
     with pytest.raises(fission.NotAFiber):

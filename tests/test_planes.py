@@ -7,7 +7,6 @@ import pytest
 
 import scheme_forge as sf
 from scheme_forge import planes
-from scheme_forge.cli import _check_plane_alignment
 
 import oracles
 
