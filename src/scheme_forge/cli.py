@@ -594,32 +594,17 @@ def _cmd_base(args) -> int:
     return 0
 
 
-def _listed_generators(group) -> tuple:
-    """The greedy generators of the sorted elements, which are the same
-    whatever search found the group.  A group without a chain here is a
-    Frobenius witness built from its sorted elements, which holds them."""
-    if group.chain is None:
-        return group.generators
-    return tuple(groups._dimino(groups.enumerate_elements(group), group.degree)[0])
-
-
 def _cmd_aut(args) -> int:
     scheme = scheme_core.load_asc(args.file)
     group = groups.automorphism_group(scheme, args.bound)
     order = groups.group_order(group)
-    gens = _listed_generators(group)
     if args.out:
-        _save(groups.save_perm, groups.PermGroup(scheme.n, gens), args.out)
+        _save(groups.save_perm, group, args.out)
     if args.json:
-        _emit_json(
-            {
-                "order": order,
-                "generators": [list(g) for g in gens],
-            }
-        )
+        _emit_json({"order": order, "generators": [list(g) for g in group.generators]})
     else:
         print("order: %d" % order)
-        for g in gens:
+        for g in group.generators:
             print(" ".join(str(v) for v in g))
     return 0
 
@@ -629,7 +614,8 @@ def _cmd_frobenius(args) -> int:
         group = groups.load_perm(args.file)
         verdict = groups.frobenius_check(group, args.bound)
         if args.json:
-            _emit_json({"frobenius": verdict, "order": groups.group_order(group)})
+            _emit_json({"frobenius": verdict,
+                        "order": len(groups.enumerate_elements(group, args.bound))})
         else:
             print("frobenius: %s" % verdict)
         return 0 if verdict else 1
@@ -643,15 +629,8 @@ def _cmd_frobenius(args) -> int:
         return 1
     n = scheme.n  # kernel n, stabiliser 4, orbitals the colors: the lemma
     if args.json:
-        _emit_json(
-            {
-                "order": 4 * n,
-                "kernel_size": n,
-                "stabilizer_order": 4,
-                "orbital_match": True,
-                "generators": [list(g) for g in _listed_generators(witness)],
-            }
-        )
+        _emit_json({"order": 4 * n, "kernel_size": n, "stabilizer_order": 4,
+                    "orbital_match": True, "generators": [list(g) for g in witness.generators]})
     else:
         print("witness order %d = %d x 4, orbitals match: True" % (4 * n, n))
     return 0

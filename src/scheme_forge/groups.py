@@ -3,7 +3,7 @@
 Permutations are tuples of images on 0..n-1.  compose(p, q) applies p
 first, then q.  Groups carry generators, and automorphism groups also a
 stabiliser chain.  Element lists are enumerated on demand, from the chain's
-transversals or by Dimino's cosets, and cached.
+transversals or by Dimino's cosets; no command lists Aut to print it.
 
 Automorphism groups come from a stabiliser-chain search over a resolving
 base (Sims 1970; McKay and Piperno 2014), whose depth-first search lives in
@@ -106,7 +106,6 @@ class PermGroup:
 
     degree: int
     generators: tuple[Perm, ...]
-    _elements: tuple[Perm, ...] | None = field(default=None, repr=False)
     chain: Chain | None = field(default=None, repr=False)
 
 
@@ -128,18 +127,15 @@ def _sorted_perms(rows: np.ndarray) -> tuple[Perm, ...]:
 def enumerate_elements(group: PermGroup, bound: int = DEFAULT_BOUND) -> tuple[Perm, ...]:
     """All elements, sorted.  A chain's search has already met its bound;
     other groups are closed from their generators, BoundExceeded past bound."""
-    if group._elements is None and group.chain is not None:
-        group._elements = _sorted_perms(_expand(group.chain.transversals, group.degree))
-    if group._elements is not None:
-        return group._elements
+    if group.chain is not None:
+        return _sorted_perms(_expand(group.chain.transversals, group.degree))
     for g in group.generators:
         if sorted(g) != list(range(group.degree)):
             raise ValueError("generator %s is not a permutation" % (g,))
     closed = _dimino(group.generators, group.degree, bound)
     if closed is None:
         raise BoundExceeded("closure exceeded bound %d" % bound)
-    group._elements = tuple(sorted(closed[1]))
-    return group._elements
+    return tuple(sorted(closed[1]))
 
 
 def group_order(group: PermGroup) -> int:
@@ -418,8 +414,10 @@ def frobenius_witness(scheme: Scheme, group: PermGroup) -> PermGroup | None:
     fixed-point-free element (z5, F_9).
     """
     n = scheme.n
+    if is_k_equivalenced(scheme) != 4:
+        return None
     rotations = list(_rotations(scheme, group, 0))
-    if is_k_equivalenced(scheme) != 4 or not rotations:
+    if not rotations:
         return None
     if group_order(group) == 4 * n:
         return group if _certifies(scheme, group) else None
@@ -439,7 +437,7 @@ def frobenius_witness(scheme: Scheme, group: PermGroup) -> PermGroup | None:
         closed = _dimino(gens, n, 4 * n)
         if closed is not None and len(closed[1]) == 4 * n:
             elements = tuple(sorted(closed[1]))
-            witness = PermGroup(n, tuple(_dimino(elements, n)[0]), _elements=elements)
+            witness = PermGroup(n, tuple(_dimino(elements, n)[0]))
             if _certifies(scheme, witness):
                 return witness
     return None

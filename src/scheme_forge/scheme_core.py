@@ -1,9 +1,9 @@
 """Association schemes as dense color matrices with exact intersection data.
 
 A scheme on n points is stored as an n x n matrix of color indices
-0..r-1.  Color 0 is reserved for the diagonal.  Validation derives the
-full tensor of intersection numbers c(s,t,u) and refuses any matrix
-where a structure constant fails to be constant over its color class.
+0..r-1.  Color 0 is reserved for the diagonal.  Validation refuses any
+matrix where a structure constant c(s,t,u) fails to be constant over its
+color class, and builds no table of them (see Scheme.tensor).
 
 Constancy is checked on one row per orbit of the automorphisms that a
 search on the bare color matrix finds (see autsearch), and the check is
@@ -31,6 +31,7 @@ same matrix or the same error.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,7 +87,7 @@ class IntersectionTensor:
 
 @dataclass(frozen=True, eq=False)
 class Scheme:
-    """A validated association scheme: its color matrix, dual and tensor.
+    """A validated association scheme: its color matrix and dual.
 
     Fields are never mutated after validate() returns; the arrays are
     marked read-only so accidental writes fail loudly.  n, r and the
@@ -95,7 +96,18 @@ class Scheme:
 
     color: np.ndarray
     dual: np.ndarray
-    tensor: IntersectionTensor
+
+    @functools.cached_property
+    def tensor(self) -> IntersectionTensor:
+        """c(s,t,u), r**3 words, read by products only: (color(x,z) * r +
+        color(z,y)) * r + u occurs c(s,t,u) times over z at the first pair
+        (x, y) of color u, and validation showed every u-pair counts alike."""
+        r = self.r
+        out, back = _first_pair_paths(self.color)
+        codes = (out * r + back) * r + np.arange(r)[:, None]
+        c = np.bincount(codes.ravel(), minlength=r**3).reshape(r, r, r)
+        c.setflags(write=False)
+        return IntersectionTensor(c)
 
     @property
     def n(self) -> int:
@@ -161,6 +173,12 @@ def _first_pairs(color: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(first, color.shape[0])
 
 
+def _first_pair_paths(color: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """out[u, z] = color(x,z), back[u, z] = color(z,y) at color u's first pair (x, y)."""
+    xs, ys = _first_pairs(color)
+    return color[xs], color[:, ys].T
+
+
 def _path_code_blocks(color: np.ndarray, r: int, firsts, rows=None):
     """Yield (xs, codes, expected) for blocks of the given rows x (all rows
     when None), in their order.
@@ -192,9 +210,8 @@ def _path_code_blocks(color: np.ndarray, r: int, firsts, rows=None):
         yield block_rows, codes, reference[inverse.reshape(block.shape)]
 
 
-def _check_constancy(color: np.ndarray, r: int, rows=None) -> tuple[np.ndarray, np.ndarray]:
-    """Check that every c(s,t,u) is constant over the pairs of color u, and
-    return the first pair of each color (see _first_pairs).
+def _check_constancy(color: np.ndarray, r: int, rows=None) -> None:
+    """Check that every c(s,t,u) is constant over the pairs of color u.
 
     The sorted path codes of every pair in the given rows, ascending (all
     rows when None), must equal those of its color's first pair (see
@@ -226,7 +243,6 @@ def _check_constancy(color: np.ndarray, r: int, rows=None) -> tuple[np.ndarray, 
             int(np.count_nonzero(color[xu] * r + color[:, yu] == code)),
             int(np.count_nonzero(color[x] * r + color[:, y] == code)),
         )
-    return firsts
 
 
 def _orbit_minima(color: np.ndarray, r: int) -> list[int]:
@@ -245,7 +261,7 @@ def _orbit_minima(color: np.ndarray, r: int) -> list[int]:
 
 
 def validate(n: int, r: int, color, dual) -> Scheme:
-    """Check all scheme axioms and return the Scheme with its tensor attached.
+    """Check all scheme axioms and return the Scheme, without its tensor.
 
     Raises DiagonalViolation / DualViolation / NonConstantIntersection for
     axiom failures, ValueError for out-of-range or missing colors.  A
@@ -289,13 +305,10 @@ def _checked(n: int, r: int, mat: np.ndarray) -> Scheme:
         x, y = map(int, np.argwhere(off)[0])
         raise DiagonalViolation("color(%d,%d) = 0 off the diagonal" % (x, y))
 
-    firsts = _check_constancy(mat, r, _orbit_minima(mat, r))
-    c = np.empty((r, r, r), dtype=np.int64)
-    for u, (x, y) in enumerate(zip(*firsts)):
-        c[:, :, u] = np.bincount(mat[x] * r + mat[:, y], minlength=r * r).reshape(r, r)
-    for arr in (mat, dual, c):
+    _check_constancy(mat, r, _orbit_minima(mat, r))
+    for arr in (mat, dual):
         arr.setflags(write=False)
-    return Scheme(mat, dual, IntersectionTensor(c))
+    return Scheme(mat, dual)
 
 
 def from_matrix(color) -> Scheme:
@@ -365,24 +378,27 @@ def is_symmetric(scheme: Scheme) -> bool:
 
 
 def is_commutative(scheme: Scheme) -> bool:
-    """c(s,t,u) = c(t,s,u) for all triples."""
-    c = scheme.tensor.c
-    return bool(np.array_equal(c, c.transpose(1, 0, 2)))
+    """c(s,t,u) = c(t,s,u) for all triples: at each color's first pair (x, y),
+    the codes color(x,z) * r + color(z,y) over z, sorted, equal color(z,y) * r + color(x,z)."""
+    r = scheme.r
+    out, back = _first_pair_paths(scheme.color)
+    return bool(np.array_equal(np.sort(out * r + back, axis=1), np.sort(back * r + out, axis=1)))
 
 
 def indistinguishing_number(scheme: Scheme, s: int) -> int:
     """Number of points related equally to both ends of an s-pair.
 
     For (x,y) of color s this counts z with color(x,z) = color(y,z)
-    non-diagonal, i.e. the sum of c(u, u*, s) over non-diagonal u.
+    non-diagonal, i.e. the sum of c(u, u*, s) over non-diagonal u.  At (0, y),
+    y the first point of color s in row 0, z = 0 and z = y never count.
     """
     if s == 0:
         raise DiagonalColor("indistinguishing number is defined off the diagonal")
     if not 0 < s < scheme.r:
         raise ValueError("no such color: %d" % s)
-    c = scheme.tensor.c
-    us = np.arange(1, scheme.r)
-    return int(c[us, scheme.dual[us], s].sum())
+    row = scheme.color[0]
+    y = int(np.argmax(row == s))
+    return int(np.count_nonzero(row == scheme.color[y]))
 
 
 def is_pseudocyclic(scheme: Scheme) -> bool:

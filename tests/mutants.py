@@ -53,6 +53,14 @@ MUTANTS = [
      "_check_constancy(mat, r, _orbit_minima(mat, r))",
      "_check_constancy(mat, r, [0])",
      "tests/test_constancy.py::test_corruption_matches_oracle"),
+    ("commutativity compares sorted codes with unsorted ones", "scheme_core.py",
+     "np.sort(back * r + out, axis=1)",
+     "back * r + out",
+     "tests/test_scheme_core.py::test_matrix_readers_match_the_tensor_formulas"),
+    ("indistinguishing number counted against row 1", "scheme_core.py",
+     "np.count_nonzero(row == scheme.color[y])",
+     "np.count_nonzero(scheme.color[1] == scheme.color[y])",
+     "tests/test_scheme_core.py::test_matrix_readers_match_the_tensor_formulas"),
     ("dual accepted unchecked", "scheme_core.py",
      "        if np.array_equal(dual[mat], mat.T):\n",
      "        if True:\n",

@@ -193,6 +193,29 @@ def test_lemmas(z13_file, capsys):
     assert "passed" in out
 
 
+def test_report_json_on_an_axiom_violation(tmp_path, z13_file, capsys):
+    lines = Path(z13_file).read_text().splitlines()
+    rows = [line.split() for line in lines[1:]]
+    rows[1][2], rows[2][1] = "3", "3"
+    bad = tmp_path / "bad.asc"
+    bad.write_text(lines[0] + "\n" + "\n".join(" ".join(r) for r in rows) + "\n")
+    assert run(["report", str(bad), "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out) == {
+        "checks": [{
+            "detail": "NonConstantIntersection: c(1,1;2) is not constant: pair (0, 3) gives 1, "
+                      "first witness gave 0",
+            "name": "scheme-axioms",
+            "operation": "validate",
+            "statement": "diagonal color, dual pairing and constant intersection numbers",
+            "status": "fail",
+        }],
+        "k": None, "n": 0, "r": 0, "source": str(bad),
+        "summary": {"fail": 1, "n/a": 0, "pass": 0},
+    }
+
+
 def test_plane_text(z13_file, capsys):
     assert run(["plane", z13_file, "--s", "1", "--radius", "2"]) == 0
     out = capsys.readouterr().out
@@ -210,6 +233,13 @@ def test_plane_explicit_base(z13_file, capsys):
 
 def test_plane_bad_base_exits_1(z13_file):
     assert run(["plane", z13_file, "--s", "1", "--base", "2,5,12,8"]) == 1
+
+
+def test_plane_base_of_three_points_exits_2(z13_file, capsys):
+    assert run(["plane", z13_file, "--s", "1", "--base", "1,5,12"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: --base needs four points: beta,gamma,delta,epsilon\n"
 
 
 # sha256 of `plane FILE ARGS` stdout, recorded from the planes held as dicts
@@ -515,6 +545,59 @@ def test_frobenius_on_non_frobenius_group(tmp_path):
     perm = tmp_path / "sym4.perm"
     sf.save_perm(sf.PermGroup(4, ((1, 0, 2, 3), (1, 2, 3, 0))), str(perm))
     assert run(["frobenius", str(perm)]) == 1
+
+
+def test_frobenius_on_the_groups_that_aut_writes(z13_file, tmp_path, capsys):
+    perm = tmp_path / "aut.perm"
+    assert run(["aut", z13_file, "-o", str(perm)]) == 0
+    capsys.readouterr()
+    assert run(["frobenius", str(perm), "--json"]) == 0
+    assert capsys.readouterr().out == '{\n  "frobenius": true,\n  "order": 52\n}\n'
+
+
+@pytest.mark.parametrize("flags, out", [((), "no Frobenius witness found\n"),
+                                        (("--json",), '{\n  "witness": null\n}\n')])
+def test_frobenius_without_a_witness_exits_1(tmp_path, capsys, flags, out):
+    # K_4: valency 3, so the lemma does not apply
+    path = tmp_path / "k4.asc"
+    path.write_text("4 2\n0 1 1 1\n1 0 1 1\n1 1 0 1\n1 1 1 0\n")
+    assert run(["frobenius", str(path), *flags]) == 1
+    assert capsys.readouterr() == (out, "")
+
+
+def test_commands_count_no_intersection_number(tmp_path, thin120, capsys, monkeypatch):
+    # only the valency-4 algebra of products reads the tensor: generating,
+    # checking, fission, designs and the group commands on c53, and check,
+    # props and report on a scheme whose valency is not 4, build none
+    def refuse(*args, **kwargs):
+        raise AssertionError("tensor built")
+
+    monkeypatch.setattr(sf.scheme_core, "IntersectionTensor", refuse)
+    c53, thin = tmp_path / "c53.asc", tmp_path / "thin120.asc"
+    sf.save_asc(thin120, str(thin))
+    assert run(["gen", "cyclotomic", "--p", "53", "-o", str(c53)]) == 0
+    for argv in (["check"], ["fission", "--points", "0"], ["design"], ["aut"], ["frobenius"]):
+        assert run([argv[0], str(c53), *argv[1:]]) == 0, argv
+    for argv in (["check"], ["props"], ["report"]):
+        assert run([argv[0], str(thin), *argv[1:]]) == 0, argv
+
+
+def test_thin_scheme_commands_stay_small(tmp_path, capsys):
+    # the thin scheme of Z_300 has 300 colors, and a tensor of them 300**3
+    # words (216 MB); check, props and report read the matrix alone
+    points = np.arange(300)
+    path = tmp_path / "thin300.asc"
+    sf.save_asc(sf.from_matrix((points[None, :] - points[:, None]) % 300), str(path))
+    for argv in (["check"], ["props", "--json"], ["report", "--json"]):
+        tracemalloc.start()
+        try:
+            code = run([argv[0], str(path), *argv[1:]])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, argv
+        assert peak < 32 * 2**20, (argv, peak)
+    capsys.readouterr()
 
 
 def test_design_command(v25_file, capsys):

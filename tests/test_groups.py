@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -94,6 +95,12 @@ def test_vector_frobenius_degree_cap():
     for p, d in ((-50, 2), (0, 5), (-3, 10**4)):
         with pytest.raises(groups.BadPrime):
             sf.vector_frobenius(p, d)
+
+
+def test_vector_frobenius_needs_a_positive_dimension():
+    with pytest.raises(ValueError) as err:
+        sf.vector_frobenius(5, 0)
+    assert type(err.value) is ValueError and str(err.value) == "dimension must be positive"
 
 
 def test_orbital_scheme_needs_transitive():
@@ -326,6 +333,8 @@ def test_frobenius_check_negative():
     assert not sf.frobenius_check(cyclic)  # no element fixes exactly one
     shift13 = sf.PermGroup(13, (tuple((x + 1) % 13 for x in range(13)),))
     assert not sf.frobenius_check(shift13)  # regular: same failure
+    # a 3-cycle fixes only the point 3, but that point is an orbit of its own
+    assert not sf.frobenius_check(sf.PermGroup(4, ((1, 2, 0, 3),)))
 
 
 def test_frobenius_check_sym3_control():
@@ -472,6 +481,20 @@ def test_no_witness_outside_four_equivalenced():
     assert sf.frobenius_witness(scheme, group=aut) is None
 
 
+def test_witness_tests_the_valency_before_listing_rotations(monkeypatch):
+    # K_9 has valency 8; its G_0 = Sym(8), 40320 elements, is never listed
+    color = np.ones((9, 9), dtype=np.int64)
+    np.fill_diagonal(color, 0)
+    scheme = sf.from_matrix(color)
+    aut = sf.automorphism_group(scheme)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(groups, "stabilizer", refuse)
+    assert sf.frobenius_witness(scheme, group=aut) is None
+
+
 # sha256 of `frobenius --json` on each battery scheme, recorded from the
 # depth-first backtracking search that the base-driven search replaced: the
 # witness and its generators must not move.
@@ -516,9 +539,9 @@ def test_frobenius_text_is_unchanged(battery, tmp_path, capsys):
 
 
 # sha256 of `aut --json` on each battery scheme, recorded from the
-# per-element search that the chain search replaced: the printed generators
-# are the greedy ones of the sorted elements, whichever strong generators
-# the search found.
+# per-element search that the chain search replaced, when the printed
+# generators were the greedy ones of the sorted elements: on the battery
+# the chain's strong generators, printed now, are the same.
 AUT_JSON_SHA256 = {
     "z5": "19bbaa8a1c3e8432f25d6bc11ecceeeb2a89e0155c5204ad67f1944d8bccaffe",
     "z13": "360e1062640763503f143f1844316d42b4394e11a51475e667f5005bf13b88ba",
@@ -530,6 +553,52 @@ AUT_JSON_SHA256 = {
 
 def test_aut_json_is_unchanged(battery, tmp_path, capsys):
     assert _json_digests("aut", battery, tmp_path, capsys) == AUT_JSON_SHA256
+
+
+# sha256 of `aut --json` where the chain's strong generators are not the
+# greedy ones of the sorted elements, recorded when aut began to print them:
+# K_1's chain holds no generator, so it prints [] where [[0]] was.
+AUT_STRONG_JSON_SHA256 = {
+    "k1": "2fbfcc40268422dbde80fa35d92dd087ae96e9e6cc54507ffe153d4a477a1af9",
+    "rook": "dee4a6984ecf09de5684a8ca531d9cbb4279e8cb412ad757a69fba6068fa67bb",
+    "shrikhande": "43380dfc8132b804a56f55514a20f705d86350284420018c4538f39c520c9539",
+}
+
+
+def test_aut_json_prints_the_strong_generators(rook, shrikhande, tmp_path, capsys):
+    schemes = {"k1": sf.from_matrix(np.zeros((1, 1), dtype=np.int64)), "rook": rook,
+               "shrikhande": shrikhande}
+    assert _json_digests("aut", schemes, tmp_path, capsys) == AUT_STRONG_JSON_SHA256
+    for name, scheme in schemes.items():
+        path = tmp_path / (name + ".asc")
+        assert run(["aut", str(path), "--json"]) == 0
+        listed = json.loads(capsys.readouterr().out)["generators"]
+        assert [tuple(g) for g in listed] == list(sf.automorphism_group(scheme).generators)
+
+
+@pytest.mark.parametrize("command", ("aut", "frobenius"))
+def test_aut_and_frobenius_list_no_automorphisms(command, c53, tmp_path, capsys, monkeypatch):
+    # both print the generators the group holds: Aut's strong ones, and for
+    # c53, where |Aut| = 4n, Aut is the witness
+    found = []
+    search, listing = groups.automorphism_group, groups.enumerate_elements
+
+    def recording(*args, **kwargs):
+        found.append(search(*args, **kwargs))
+        return found[-1]
+
+    def guarded(group, *args, **kwargs):
+        assert all(group is not aut for aut in found), "Aut listed"
+        return listing(group, *args, **kwargs)
+
+    monkeypatch.setattr(groups, "automorphism_group", recording)
+    monkeypatch.setattr(groups, "enumerate_elements", guarded)
+    path = tmp_path / "c53.asc"
+    sf.save_asc(c53, str(path))
+    assert run([command, str(path), "--json"]) == 0
+    listed = json.loads(capsys.readouterr().out)["generators"]
+    assert len(found) == 1
+    assert [tuple(g) for g in listed] == list(found[0].generators)
 
 
 def test_frobenius_json_closes_the_witness_once(z5, tmp_path, capsys, monkeypatch):
@@ -614,3 +683,8 @@ def test_read_perm_rejects_garbage():
     for text in ("", "3\n", "3 1\n0 1\n", "3 1\n0 1 5\n", "3 1\n0 0 1\n", "x y\n"):
         with pytest.raises(sf.FormatError):
             sf.read_perm(text)
+    for text, message in (("0 1\n", "bad header values"),
+                          ("3 1\n0 x 2\n", "generator 0 has a non-integer image")):
+        with pytest.raises(sf.FormatError) as err:
+            sf.read_perm(text)
+        assert str(err.value) == message

@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -162,7 +161,7 @@ def test_verify_structure_rejects_other_valency(v25):
 def test_corrupted_tensor_flags_violations(z13):
     bumped = z13.tensor.c.copy()
     bumped[1, 1, 2] += 1
-    broken = dataclasses.replace(z13, tensor=sf.IntersectionTensor(bumped))
+    broken = _with_tensor(z13, bumped)
     report = sf.verify_structure_lemmas(broken)
     assert not report.passed
     assert any("square-dichotomy" in v for v in report.violations)
@@ -185,7 +184,7 @@ def test_report_builds_phi_psi_once(z13, monkeypatch):
 def test_report_names_the_failed_square(z13):
     bumped = z13.tensor.c.copy()
     bumped[1, 1, 2] += 1
-    broken = dataclasses.replace(z13, tensor=sf.IntersectionTensor(bumped))
+    broken = _with_tensor(z13, bumped)
     with pytest.raises(sf.DichotomyViolation) as err:
         sf.phi_psi(broken)
     checks = {c.name: c for c in build_report(broken, "broken").checks}
@@ -235,7 +234,10 @@ def test_sweep_matches_pair_oracle(battery, c53, c101, v125, c197, f9, f9_square
 
 
 def _with_tensor(scheme, c):
-    return dataclasses.replace(scheme, tensor=sf.IntersectionTensor(c))
+    """The scheme's matrix and dual with c in place of the tensor they count."""
+    broken = sf.Scheme(scheme.color, scheme.dual)
+    broken.__dict__["tensor"] = sf.IntersectionTensor(c)
+    return broken
 
 
 def _support_kept_corruption(scheme, seed):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -88,11 +89,37 @@ def test_validate_rejects_a_wrong_given_dual(dual, least):
 
 
 def test_scheme_is_its_matrix_dual_and_tensor(battery, c53, f9):
-    assert [f.name for f in dataclasses.fields(sf.Scheme)] == ["color", "dual", "tensor"]
+    assert [f.name for f in dataclasses.fields(sf.Scheme)] == ["color", "dual"]
     for scheme in (*battery.values(), c53, f9):
         r = len(scheme.dual)
         assert (scheme.n, scheme.r) == (scheme.color.shape[0], r)
         assert np.array_equal(scheme.valencies, scheme.tensor.c[np.arange(r), scheme.dual, 0])
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0, 3, THIN3, [0, 2, 1]), "need at least one point and one color"),
+    ((3, 0, THIN3, [0, 2, 1]), "need at least one point and one color"),
+    ((3, 3, [[0, 1], [1, 0]], [0, 2, 1]), "color matrix is not 3 x 3"),
+    ((3, 3, [[0, 1, 3], [2, 0, 1], [1, 2, 0]], [0, 2, 1]), "color entries must lie in 0..2"),
+    ((3, 3, [[0, 1, -1], [2, 0, 1], [1, 2, 0]], [0, 2, 1]), "color entries must lie in 0..2"),
+    ((3, 3, THIN3, [0, 2]), "dual must assign one color to each of 3 colors"),
+    ((3, 3, THIN3, [0, 2, 3]), "dual entries must lie in 0..2"),
+    ((3, 3, THIN3, [0, -1, 1]), "dual entries must lie in 0..2"),
+])
+def test_validate_rejects_out_of_range_arguments(args, message):
+    with pytest.raises(ValueError) as err:
+        sf.validate(*args)
+    assert type(err.value) is ValueError and str(err.value) == message
+
+
+@pytest.mark.parametrize("matrix, message", [
+    (np.zeros((2, 3), dtype=np.int64), "color matrix must be square"),
+    (np.zeros((0, 0), dtype=np.int64), "need at least one point and one color"),
+])
+def test_from_matrix_rejects_a_matrix_that_is_not_square_or_empty(matrix, message):
+    with pytest.raises(ValueError) as err:
+        sf.from_matrix(matrix)
+    assert type(err.value) is ValueError and str(err.value) == message
 
 
 def test_nonconstant_intersection():
@@ -185,6 +212,35 @@ def test_indistinguishing_numbers(battery):
             assert value == oracles.indistinguishing_by_count(scheme, s)
         assert oracles.scheme_indistinguishing(scheme) == 3
         assert sf.is_pseudocyclic(scheme)
+
+
+def _thin_s3():
+    """The thin scheme of Sym(3): color(x, y) is the index of x^-1 y among the
+    sorted permutations, the identity first."""
+    perms = sorted(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    inverse = [tuple(sorted(range(3), key=p.__getitem__)) for p in perms]
+    return sf.from_matrix(np.array(
+        [[index[tuple(inverse[x][y[i]] for i in range(3))] for y in perms] for x in range(6)]))
+
+
+def test_matrix_readers_match_the_tensor_formulas(request):
+    # is_commutative and indistinguishing_number read the color matrix; the
+    # tensor gives c == c.transpose(1, 0, 2) and the sum of c(u, u*, s)
+    names = ("z5", "z13", "z17", "z29", "v25", "c53", "f9", "f9_squared", "thin120",
+             "paley13", "rook", "shrikhande")
+    schemes = {name: request.getfixturevalue(name) for name in names}
+    schemes["thin_s3"] = _thin_s3()
+    schemes["k222"] = sf.from_matrix(np.array(
+        [[0 if x == y else 1 if (x - y) % 3 == 0 else 2 for y in range(6)] for x in range(6)]))
+    for name, scheme in schemes.items():
+        c = oracles.tensor_by_matmul(scheme)
+        assert sf.is_commutative(scheme) == np.array_equal(c, c.transpose(1, 0, 2)), name
+        us = np.arange(1, scheme.r)
+        for s in scheme.nondiagonal():
+            expected = int(c[us, scheme.dual[us], s].sum())
+            assert sf.indistinguishing_number(scheme, s) == expected, (name, s)
+    assert not sf.is_commutative(schemes["thin_s3"])
 
 
 def test_indistinguishing_rejects_diagonal(z13):
