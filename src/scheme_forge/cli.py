@@ -612,10 +612,10 @@ def _cmd_aut(args) -> int:
 def _cmd_frobenius(args) -> int:
     if args.file.endswith(".perm"):
         group = groups.load_perm(args.file)
-        verdict = groups.frobenius_check(group, args.bound)
+        elems = groups.enumerate_elements(group, args.bound)
+        verdict = groups.is_frobenius(elems, group.degree)
         if args.json:
-            _emit_json({"frobenius": verdict,
-                        "order": len(groups.enumerate_elements(group, args.bound))})
+            _emit_json({"frobenius": verdict, "order": len(elems)})
         else:
             print("frobenius: %s" % verdict)
         return 0 if verdict else 1

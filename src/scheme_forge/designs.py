@@ -27,11 +27,13 @@ def scheme_to_design(scheme: Scheme) -> BlockDesign:
     """
     if is_k_equivalenced(scheme) != 4:
         raise NotFourEquivalenced("rows must all have size 4")
-    # a stable sort of each row lists its points by color, the point itself
-    # (color 0) first, then four points per non-diagonal color in order
-    rows = np.argsort(scheme.color, axis=1, kind="stable")[:, 1:].reshape(-1, 4)
+    # sorting each row by the keys color * n + column, distinct and below
+    # n**2, lists its points by color, the point itself (color 0) first, then
+    # four points per non-diagonal color in order
+    n = scheme.n
+    rows = np.argsort(scheme.color * n + np.arange(n), axis=1)[:, 1:].reshape(-1, 4)
     rows.setflags(write=False)
-    return BlockDesign(scheme.n, rows)
+    return BlockDesign(n, rows)
 
 
 def verify_design(design: BlockDesign, k: int = 4, lam: int = 3) -> bool:

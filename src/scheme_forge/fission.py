@@ -12,7 +12,8 @@ For R1, R2 drawn from [0, p)^num,
 
 which is one n x n float64 matrix product, taken modulo the prime p.  p is
 the largest prime with n * (p - 1)**2 < 2**53, so every partial sum is an
-exact integer whatever order BLAS sums in.  Two pairs with different
+exact integer whatever order BLAS sums in.  So the product converts to
+int64 without loss, and integer % reduces it.  Two pairs with different
 counts get the same H with probability at most 2/p (Schwartz-Zippel: the
 difference is a nonzero polynomial of degree 2 over F_p while n < p, which
 holds below 2 * 10**5 points).  Each round draws H twice and recolors each
@@ -177,8 +178,9 @@ def wl_stabilize(matrix, bound: int | None = None) -> CoherentConfiguration:
         labels = color.ravel()
         for _ in range(2):
             left, right = rng.integers(0, p, size=(2, num)).astype(np.float64)
-            # every partial sum is an integer below n * (p - 1)**2 < 2**53, so exact
-            h = np.fmod(left[color] @ right[color], p).astype(np.int64)
+            # every partial sum is an integer below n * (p - 1)**2 < 2**53, so
+            # the product is exact and converts to int64 without loss
+            h = (left[color] @ right[color]).astype(np.int64) % p
             labels, new_num = _first_occurrence_rank(labels * p + h.ravel())
             if new_num == bound:
                 break
@@ -201,20 +203,21 @@ def _pair_orbits(scheme: Scheme, delta, group: PermGroup | None) -> tuple[np.nda
     products of checked automorphisms.
     """
     n = scheme.n
-    least = np.arange(n * n, dtype=np.int64).reshape(n, n)
-    if group is None or group.chain is None or not np.array_equal(
+    # the codes x * n + y stay below n**2, so int32 holds them while n**2 < 2**31
+    dtype = np.int32 if n * n < 2**31 else np.int64
+    elems = np.arange(n, dtype=dtype)[None, :]  # the identity
+    if group is not None and group.chain is not None and np.array_equal(
             group.chain.scheme.color, scheme.color):
-        return least, n * n
-    elems = np.array(stabilizer(group, delta[:1]), dtype=np.int64)
-    elems = elems[(elems[:, delta[1:]] == delta[1:]).all(axis=1)]
+        elems = np.array(stabilizer(group, delta[:1]), dtype=dtype)
+        elems = elems[(elems[:, delta[1:]] == delta[1:]).all(axis=1)]
     if len(elems) == 1:  # the identity
-        return least, n * n
+        return np.arange(n * n, dtype=np.int64).reshape(n, n), n * n
+    least = np.arange(n * n, dtype=dtype)
     for g in elems:
-        least = np.minimum(least, g[:, None] * n + g[None, :])
+        np.minimum(least, (g[:, None] * n + g).ravel(), out=least)
     # a pair's code x * n + y is its row-major index, so the least code of
     # each orbit is its first pair
-    least = least.ravel()
-    first = least == np.arange(n * n)
+    first = least == np.arange(n * n, dtype=dtype)
     return (np.cumsum(first) - 1)[least].reshape(n, n), int(first.sum())
 
 
@@ -234,8 +237,9 @@ def _refine(scheme: Scheme, cells: np.ndarray, goal: int) -> np.ndarray:
         left = rng.integers(0, p, size=scheme.r).astype(np.float64)
         right = rng.integers(0, p, size=total).astype(np.float64)
         # h[i, x] = sum_z left[c(x,z)] * right[cell_i(z)]; every partial sum
-        # is an integer below n * (p - 1)**2 < 2**53, so exact
-        h = np.fmod(right[cells] @ left[color].T, p).astype(np.int64)
+        # is an integer below n * (p - 1)**2 < 2**53, so the product is exact
+        # and converts to int64 without loss
+        h = (right[cells] @ left[color].T).astype(np.int64) % p
         labels, new_total = _first_occurrence_rank((cells * p + h).ravel())
         if new_total == total:
             break

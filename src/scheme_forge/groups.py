@@ -267,9 +267,13 @@ def vector_frobenius(p: int, d: int) -> PermGroup:
 
 def frobenius_check(group: PermGroup, bound: int = DEFAULT_BOUND) -> bool:
     """Transitive, some non-identity element fixes a point, none fixes two."""
-    elems = enumerate_elements(group, bound)
-    ident = identity_perm(group.degree)
-    if len({g[0] for g in elems}) != group.degree:
+    return is_frobenius(enumerate_elements(group, bound), group.degree)
+
+
+def is_frobenius(elems, degree: int) -> bool:
+    """frobenius_check on the elements of a group of the given degree, listed."""
+    ident = identity_perm(degree)
+    if len({g[0] for g in elems}) != degree:
         return False
     fixed = [len(fixed_points(g)) for g in elems if g != ident]
     return max(fixed, default=0) <= 1 and 1 in fixed

@@ -132,12 +132,23 @@ class Scheme:
 
 
 def _first_occurrence_rank(codes: np.ndarray) -> tuple[np.ndarray, int]:
-    """Relabel a flat integer array by first occurrence; returns (labels, count)."""
-    uniq, first, inv = np.unique(codes, return_index=True, return_inverse=True)
-    inv = inv.reshape(-1)
-    rank = np.empty(len(uniq), dtype=np.int64)
-    rank[np.argsort(first, kind="stable")] = np.arange(len(uniq))
-    return rank[inv], len(uniq)
+    """Relabel a flat integer array by first occurrence; returns (labels, count).
+
+    One unstable sort groups equal codes; the least index of each group is
+    its first occurrence, and those indices are distinct, so ranking them
+    needs no stable sort either.
+    """
+    order = np.argsort(codes)
+    ordered = codes[order]
+    new = np.empty(len(codes), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    rank = np.empty(len(starts), dtype=np.int64)
+    rank[np.argsort(np.minimum.reduceat(order, starts))] = np.arange(len(starts))
+    labels = np.empty(len(codes), dtype=np.int64)
+    labels[order] = rank[np.cumsum(new) - 1]
+    return labels, len(starts)
 
 
 def canonical_relabel(matrix: np.ndarray) -> np.ndarray:

@@ -41,6 +41,14 @@ MUTANTS = [
      "            if not unstable.any():\n",
      "            if True:\n",
      "tests/test_fission.py::test_colliding_evaluations_fall_back_to_exact_splits"),
+    ("first occurrence taken as the last", "scheme_core.py",
+     "np.minimum.reduceat(order, starts)",
+     "np.maximum.reduceat(order, starts)",
+     "tests/test_scheme_core.py::test_first_occurrence_rank_matches_a_dict_oracle"),
+    ("codes ranked in sorted order, not by first occurrence", "scheme_core.py",
+     "rank[np.argsort(np.minimum.reduceat(order, starts))] = np.arange(len(starts))",
+     "rank[:] = np.arange(len(starts))",
+     "tests/test_scheme_core.py::test_first_occurrence_rank_matches_a_dict_oracle"),
     ("semiregularity skips the first repeated color", "fission.py",
      "touching[repeated]",
      "touching[repeated[1:]]",

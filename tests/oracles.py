@@ -20,20 +20,17 @@ def adjacency_matrices(scheme):
 
 
 def tensor_by_matmul(scheme):
-    """c(s,t,u) read off A_s @ A_t at one representative pair per color."""
+    """c(s,t,u) read off A_s @ A_t at one representative pair (x, y) per
+    color u, as row x of A_s times column y of A_t."""
     # float64 products of 0/1 matrices go through BLAS and are exact:
     # every entry is a count below n << 2**53
-    mats = [a.astype(np.float64) for a in adjacency_matrices(scheme)]
-    reps = []
+    mats = np.array(adjacency_matrices(scheme), dtype=np.float64)
+    c = np.zeros((scheme.r, scheme.r, scheme.r), dtype=np.int64)
     for u in range(scheme.r):
         xs, ys = np.nonzero(scheme.color == u)
-        reps.append((int(xs[0]), int(ys[0])))
-    c = np.zeros((scheme.r, scheme.r, scheme.r), dtype=np.int64)
-    for s in range(scheme.r):
-        for t in range(scheme.r):
-            prod = mats[s] @ mats[t]
-            for u, (x, y) in enumerate(reps):
-                c[s, t, u] = prod[x, y]
+        x, y = int(xs[0]), int(ys[0])
+        # entry [s, t] is mats[s][x] @ mats[t][:, y]
+        c[:, :, u] = mats[:, x, :] @ mats[:, :, y].T
     return c
 
 

@@ -555,6 +555,22 @@ def test_frobenius_on_the_groups_that_aut_writes(z13_file, tmp_path, capsys):
     assert capsys.readouterr().out == '{\n  "frobenius": true,\n  "order": 52\n}\n'
 
 
+def test_frobenius_json_closes_a_perm_group_once(z13_file, tmp_path, monkeypatch):
+    # the verdict and the printed order come from one list of the elements
+    perm = tmp_path / "aut.perm"
+    assert run(["aut", z13_file, "-o", str(perm)]) == 0
+    calls = []
+    dimino = groups._dimino
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return dimino(*args, **kwargs)
+
+    monkeypatch.setattr(groups, "_dimino", spy)
+    assert run(["frobenius", str(perm), "--json"]) == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("flags, out", [((), "no Frobenius witness found\n"),
                                         (("--json",), '{\n  "witness": null\n}\n')])
 def test_frobenius_without_a_witness_exits_1(tmp_path, capsys, flags, out):

@@ -94,6 +94,8 @@ def test_array_design_matches_frozenset_blocks(name, request):
     assert design.blocks.shape == (scheme.n * (scheme.r - 1), 4)
     assert not design.blocks.flags.writeable
     assert Counter(map(frozenset, design.blocks.tolist())) == Counter(old.blocks)
+    # block for block in (point, color) order, each sorted
+    assert design.blocks.tolist() == [sorted(b) for b in old.blocks]
     verdict = all(len(b) == 4 for b in old.blocks) and oracles.blocks_by_pair_count(old, t=2, lam=3)
     assert verdict
     assert sf.verify_design(design) == verdict == oracles.blocks_by_pair_count(design, t=2, lam=3)

@@ -263,6 +263,23 @@ def test_modulus_keeps_products_exact():
         assert all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
+def test_int64_reduction_is_exact_at_the_bound():
+    # the largest degree and its modulus, with every operand p - 1 in row 0
+    # and column 0: that entry is n * (p - 1)**2, the largest sum the bound
+    # allows; the float64 product converts to int64 exactly and % reduces it
+    n = groups.MAX_DEGREE
+    p = fission._modulus(n)
+    rng = np.random.default_rng(n)
+    left = rng.integers(0, p, size=(3, n))
+    right = rng.integers(0, p, size=(n, 4))
+    left[0] = right[:, 0] = p - 1
+    h = (left.astype(np.float64) @ right.astype(np.float64)).astype(np.int64) % p
+    expected = [[sum(a * b for a, b in zip(row, col)) % p for col in right.T.tolist()]
+                for row in left.tolist()]
+    assert h.tolist() == expected
+    assert expected[0][0] == n * (p - 1) ** 2 % p
+
+
 def test_wl_matches_dict_oracle():
     # a path graph: refinement must discover distances
     n = 6

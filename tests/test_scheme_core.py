@@ -3,6 +3,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import scheme_forge as sf
 from scheme_forge import scheme_core
@@ -161,6 +163,38 @@ def test_canonical_relabel_first_occurrence():
     mat = np.array([[5, 7], [7, 5]])
     out = sf.canonical_relabel(mat)
     assert out.tolist() == [[0, 1], [1, 0]]
+
+
+_LOW, _HIGH = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+# few distinct small values repeat often; the int64 extremes test the sort
+_CODES = st.one_of(st.integers(-3, 3), st.integers(_LOW, _HIGH), st.sampled_from([_LOW, _HIGH]))
+
+
+def _first_seen(values):
+    """Each value numbered by its first occurrence, by a dict."""
+    seen = {}
+    return [seen.setdefault(v, len(seen)) for v in values], len(seen)
+
+
+@given(st.lists(_CODES, max_size=60))
+@example([])
+@example([4] * 7)
+@example(list(range(12)))
+@example(list(range(12, 0, -1)))
+@example([5, 7, 5, -1, 7, -1])
+@example([_HIGH, _LOW, -1, _HIGH, 0, _LOW, -1])
+def test_first_occurrence_rank_matches_a_dict_oracle(values):
+    labels, count = scheme_core._first_occurrence_rank(np.array(values, dtype=np.int64))
+    assert labels.dtype == np.int64
+    assert (labels.tolist(), count) == _first_seen(values)
+
+
+@given(st.integers(0, 6), st.integers(0, 6), st.data())
+def test_canonical_relabel_matches_a_dict_oracle(rows, cols, data):
+    values = data.draw(st.lists(_CODES, min_size=rows * cols, max_size=rows * cols))
+    out = sf.canonical_relabel(np.array(values, dtype=np.int64).reshape(rows, cols))
+    assert out.shape == (rows, cols)
+    assert out.ravel().tolist() == _first_seen(values)[0]
 
 
 # --- intersection numbers and derived quantities ---
