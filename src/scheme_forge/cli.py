@@ -54,63 +54,25 @@ class Report:
             "r": self.r,
             "k": self.k,
             "checks": [asdict(c) for c in self.checks],
-            "summary": {
-                "pass": sum(1 for c in self.checks if c.status == "pass"),
-                "fail": sum(1 for c in self.checks if c.status == "fail"),
-                "n/a": sum(1 for c in self.checks if c.status == NA),
-            },
+            "summary": self.summary(),
         }
 
+    def summary(self) -> dict:
+        statuses = [c.status for c in self.checks]
+        return {"pass": statuses.count("pass"), "fail": statuses.count("fail"),
+                "n/a": statuses.count(NA)}
 
-def _emit_json(payload) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+def _emit(args, payload, lines) -> None:
+    """Print a command's result: its JSON payload under --json, else its text lines."""
+    if args.json:
+        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    else:
+        for line in lines:
+            print(line)
 
 
 # --- report context and checks ---
-
-
-def _build_context(scheme: Scheme, source: str, bound: int, cutoff: int, radius: int) -> dict:
-    ctx: dict = {
-        "scheme": scheme,
-        "source": source,
-        "cutoff": cutoff,
-        "radius": radius,
-        "k": scheme_core.is_k_equivalenced(scheme),
-        "symmetric": scheme_core.is_symmetric(scheme),
-    }
-    ctx["pp"] = None
-    ctx["structure"] = None
-    ctx["aut"] = None
-    ctx["aut_error"] = None
-    ctx["sigma"] = {}
-    ctx["planes"] = {}
-    ctx["fissions"] = {}
-    if ctx["k"] == 4:
-        ctx["structure"] = products.verify_structure_lemmas(scheme)
-        ctx["pp"] = ctx["structure"].pp
-        try:
-            ctx["aut"] = groups.automorphism_group(scheme, bound)
-        except groups.BoundExceeded as err:
-            ctx["aut_error"] = err
-        # An automorphism g carries sigma_alpha to its conjugate at g(alpha)
-        # and the fission at alpha onto the fission at g(alpha), so the
-        # per-point checks need one point per orbit; without the group,
-        # every point is its own orbit.
-        if ctx["aut"] is None:
-            ctx["points"] = tuple(range(scheme.n))
-        else:
-            ctx["points"] = tuple(orbit[0] for orbit in groups.orbits(ctx["aut"]))
-        if ctx["aut"] is not None and ctx["pp"] is not None and ctx["pp"].s3:
-            for alpha in ctx["points"]:
-                ctx["sigma"][alpha] = groups.sigma_alpha(scheme, alpha, ctx["aut"])
-        if ctx["pp"] is not None and ctx["pp"].s3:
-            ctx["planes"] = _origin_planes(ctx)
-        if scheme.r >= 3:
-            for alpha in ctx["points"]:
-                ctx["fissions"][alpha] = fission.point_fission(scheme, (alpha,), ctx["aut"])
-    else:
-        ctx["points"] = ()
-    return ctx
 
 
 def _plane_base(scheme: Scheme, pp, sigma, s: int, alpha: int):
@@ -161,6 +123,57 @@ HYPOTHESES = {
     "sigma at 0": (lambda ctx: ctx["sigma"].get(0) is not None,
                    "no rotation automorphism at point 0"),
 }
+
+
+def _automorphisms_or_error(ctx):
+    """Aut, or None with the reason kept as ctx["aut_error"] for the n/a detail."""
+    try:
+        return groups.automorphism_group(ctx["scheme"], ctx["bound"])
+    except groups.BoundExceeded as err:
+        ctx["aut_error"] = err
+        return None
+
+
+def _orbit_points(ctx):
+    """The least point of each orbit of Aut, or every point without it.
+
+    An automorphism g carries sigma_alpha to its conjugate at g(alpha) and
+    the fission at alpha onto the fission at g(alpha), so the per-point
+    checks need one point per orbit."""
+    if ctx["aut"] is None:
+        return tuple(range(ctx["scheme"].n))
+    return tuple(orbit[0] for orbit in groups.orbits(ctx["aut"]))
+
+
+# (context key, hypotheses, value when one does not hold, builder), built in
+# this order: a layer is skipped by the same predicates that make its checks n/a
+LAYERS = (
+    ("structure", ("k=4",), None, lambda ctx: products.verify_structure_lemmas(ctx["scheme"])),
+    ("pp", ("k=4",), None, lambda ctx: ctx["structure"].pp),
+    ("aut", ("k=4",), None, _automorphisms_or_error),
+    ("points", ("k=4",), (), _orbit_points),
+    ("sigma", ("aut", "s3"), {}, lambda ctx: {
+        alpha: groups.sigma_alpha(ctx["scheme"], alpha, ctx["aut"]) for alpha in ctx["points"]}),
+    ("planes", ("s3",), {}, _origin_planes),
+    ("fissions", ("k=4, r>=3",), {}, lambda ctx: {
+        alpha: fission.point_fission(ctx["scheme"], (alpha,), ctx["aut"]) for alpha in ctx["points"]}),
+)
+
+
+def _build_context(scheme: Scheme, source: str, bound: int, cutoff: int, radius: int) -> dict:
+    ctx: dict = {
+        "scheme": scheme,
+        "source": source,
+        "bound": bound,
+        "cutoff": cutoff,
+        "radius": radius,
+        "k": scheme_core.is_k_equivalenced(scheme),
+        "symmetric": scheme_core.is_symmetric(scheme),
+        "aut_error": None,
+    }
+    for key, hypotheses, unmet, build in LAYERS:
+        ctx[key] = build(ctx) if all(HYPOTHESES[h][0](ctx) for h in hypotheses) else unmet
+    return ctx
 
 
 def _from_structure(key, ctx):
@@ -287,9 +300,8 @@ def _check_base_number(ctx):
             int(scheme.color[pair]),
         )
     try:
-        size, witness = fission.find_base(
-            scheme, ctx["cutoff"], group=ctx["aut"], fissions=ctx["fissions"], pp=pp
-        )
+        size, witness = fission.find_base(scheme, ctx["cutoff"], group=ctx["aut"],
+                                          fissions=ctx["fissions"])
     except fission.CutoffExceeded:
         return NA, "recorded: base number exceeds cutoff %d" % ctx["cutoff"]
     return NA, "recorded: base number %d, witness %s (no doubled-square color)" % (
@@ -381,13 +393,13 @@ def build_report(scheme: Scheme, source: str, bound: int = groups.DEFAULT_BOUND,
     return Report(source, scheme.n, scheme.r, ctx["k"], tuple(results))
 
 
-def _print_report(report: Report) -> None:
-    print("scheme: %s  n=%d r=%d k=%s" % (report.source, report.n, report.r, report.k))
-    for c in report.checks:
-        tag = {"pass": "pass", "fail": "FAIL"}.get(c.status, " n/a")
-        print("[%s] %-26s %s" % (tag, c.name, c.detail))
-    counts = report.to_dict()["summary"]
-    print("summary: %d pass / %d fail / %d n/a" % (counts["pass"], counts["fail"], counts["n/a"]))
+def _report_lines(report: Report) -> list[str]:
+    tags = {"pass": "pass", "fail": "FAIL"}
+    counts = report.summary()
+    return ["scheme: %s  n=%d r=%d k=%s" % (report.source, report.n, report.r, report.k),
+            *("[%s] %-26s %s" % (tags.get(c.status, " n/a"), c.name, c.detail)
+              for c in report.checks),
+            "summary: %d pass / %d fail / %d n/a" % (counts["pass"], counts["fail"], counts["n/a"])]
 
 
 # --- subcommands ---
@@ -464,31 +476,21 @@ def _cmd_props(args) -> int:
             payload["psi"] = list(pp.psi)
         except SchemeForgeError as err:
             payload["phi_psi_error"] = str(err)
-    if args.json:
-        _emit_json(payload)
-    else:
-        for key in sorted(payload):
-            print("%s: %s" % (key, payload[key]))
+    _emit(args, payload, ["%s: %s" % (key, payload[key]) for key in sorted(payload)])
     return 0
 
 
 def _cmd_lemmas(args) -> int:
     scheme = scheme_core.load_asc(args.file)
     report = products.verify_structure_lemmas(scheme)
-    if args.json:
-        _emit_json(
-            {
-                "checked": report.checked,
-                "violations": report.violations,
-                "passed": report.passed,
-            }
-        )
-    else:
-        for key in sorted(report.checked):
-            print("%s: %d checked" % (key, report.checked[key]))
-        for v in report.violations:
-            print("violation: %s" % v)
-        print("passed" if report.passed else "failed")
+    payload = {
+        "checked": report.checked,
+        "violations": report.violations,
+        "passed": report.passed,
+    }
+    lines = ["%s: %d checked" % (key, report.checked[key]) for key in sorted(report.checked)]
+    lines += ["violation: %s" % v for v in report.violations]
+    _emit(args, payload, lines + ["passed" if report.passed else "failed"])
     return 0 if report.passed else 1
 
 
@@ -515,25 +517,21 @@ def _cmd_plane(args) -> int:
     plane = planes.build_plane(scheme, pp, args.s, *base, radius=args.radius)
     invariant = planes.check_rotation_invariance(scheme, plane)
     center = len(plane.grid) // 2
-    if args.json:
-        _emit_json(
-            {
-                "s": plane.s,
-                "base": list(plane.base),
-                "radius": args.radius,
-                "cells": {"%d,%d" % (i - center, j - center): int(point)
-                          for (i, j), point in np.ndenumerate(plane.grid) if point >= 0},
-                "rotation_invariant": invariant,
-                "axis_rule": "both axes extend by the two-step recurrence",
-            }
-        )
-    else:
-        print("plane for color %d, base %s" % (plane.s, list(plane.base)))
-        print("axis rule: both axes extend by the two-step recurrence")
-        # one printed row per j, from the top, with i from the left
-        for row in plane.grid.T[::-1]:
-            print(" ".join("%4d" % point if point >= 0 else "   ." for point in row))
-        print("rotation invariance: %s" % ("pass" if invariant else "FAIL"))
+    payload = {
+        "s": plane.s,
+        "base": list(plane.base),
+        "radius": args.radius,
+        "cells": {"%d,%d" % (i - center, j - center): int(point)
+                  for (i, j), point in np.ndenumerate(plane.grid) if point >= 0},
+        "rotation_invariant": invariant,
+        "axis_rule": "both axes extend by the two-step recurrence",
+    }
+    lines = ["plane for color %d, base %s" % (plane.s, list(plane.base)),
+             "axis rule: both axes extend by the two-step recurrence"]
+    # one printed row per j, from the top, with i from the left
+    lines += [" ".join("%4d" % point if point >= 0 else "   ." for point in row)
+              for row in plane.grid.T[::-1]]
+    _emit(args, payload, lines + ["rotation invariance: %s" % ("pass" if invariant else "FAIL")])
     return 0 if invariant else 1
 
 
@@ -553,27 +551,20 @@ def _cmd_fission(args) -> int:
     fibers = cc.fibers
     # point_fission gives every split point a fiber of its own
     off = next((a for a in delta if not fission.is_semiregular_off(cc, a)), None)
-    if args.json:
-        _emit_json(
-            {
-                "distinguished": delta,
-                "num_colors": cc.num_colors,
-                "num_fibers": len(fibers),
-                "fibers": [list(f) for f in fibers],
-                "semiregular_off": off,
-                "complete": cc.is_complete,
-            }
-        )
-    else:
-        print("distinguished: %s" % (delta,))
-        print("colors: %d  fibers: %d" % (cc.num_colors, len(fibers)))
-        for fiber in fibers:
-            print("fiber: %s" % (list(fiber),))
-        print("complete: %s" % cc.is_complete)
-        if off is None:
-            print("semiregular off every split point")
-        else:
-            print("not semiregular off point %d" % off)
+    payload = {
+        "distinguished": delta,
+        "num_colors": cc.num_colors,
+        "num_fibers": len(fibers),
+        "fibers": [list(f) for f in fibers],
+        "semiregular_off": off,
+        "complete": cc.is_complete,
+    }
+    lines = ["distinguished: %s" % (delta,), "colors: %d  fibers: %d" % (cc.num_colors, len(fibers))]
+    lines += ["fiber: %s" % (list(fiber),) for fiber in fibers]
+    lines.append("complete: %s" % cc.is_complete)
+    lines.append("semiregular off every split point" if off is None
+                 else "not semiregular off point %d" % off)
+    _emit(args, payload, lines)
     return 0
 
 
@@ -582,15 +573,11 @@ def _cmd_base(args) -> int:
     try:
         size, witness = fission.find_base(scheme, args.cutoff, group=_automorphisms(scheme))
     except fission.CutoffExceeded as err:
-        if args.json:
-            _emit_json({"cutoff": args.cutoff, "error": str(err)})
-        else:
-            print("base number exceeds cutoff %d" % args.cutoff)
+        _emit(args, {"cutoff": args.cutoff, "error": str(err)},
+              ["base number exceeds cutoff %d" % args.cutoff])
         return 1
-    if args.json:
-        _emit_json({"base_number": size, "witness": list(witness)})
-    else:
-        print("base number: %d  witness: %s" % (size, list(witness)))
+    _emit(args, {"base_number": size, "witness": list(witness)},
+          ["base number: %d  witness: %s" % (size, list(witness))])
     return 0
 
 
@@ -600,12 +587,8 @@ def _cmd_aut(args) -> int:
     order = groups.group_order(group)
     if args.out:
         _save(groups.save_perm, group, args.out)
-    if args.json:
-        _emit_json({"order": order, "generators": [list(g) for g in group.generators]})
-    else:
-        print("order: %d" % order)
-        for g in group.generators:
-            print(" ".join(str(v) for v in g))
+    _emit(args, {"order": order, "generators": [list(g) for g in group.generators]},
+          ["order: %d" % order, *(" ".join(str(v) for v in g) for g in group.generators)])
     return 0
 
 
@@ -614,25 +597,17 @@ def _cmd_frobenius(args) -> int:
         group = groups.load_perm(args.file)
         elems = groups.enumerate_elements(group, args.bound)
         verdict = groups.is_frobenius(elems, group.degree)
-        if args.json:
-            _emit_json({"frobenius": verdict, "order": len(elems)})
-        else:
-            print("frobenius: %s" % verdict)
+        _emit(args, {"frobenius": verdict, "order": len(elems)}, ["frobenius: %s" % verdict])
         return 0 if verdict else 1
     scheme = scheme_core.load_asc(args.file)
     witness = groups.frobenius_witness(scheme, groups.automorphism_group(scheme, args.bound))
     if witness is None:
-        if args.json:
-            _emit_json({"witness": None})
-        else:
-            print("no Frobenius witness found")
+        _emit(args, {"witness": None}, ["no Frobenius witness found"])
         return 1
     n = scheme.n  # kernel n, stabiliser 4, orbitals the colors: the lemma
-    if args.json:
-        _emit_json({"order": 4 * n, "kernel_size": n, "stabilizer_order": 4,
-                    "orbital_match": True, "generators": [list(g) for g in witness.generators]})
-    else:
-        print("witness order %d = %d x 4, orbitals match: True" % (4 * n, n))
+    _emit(args, {"order": 4 * n, "kernel_size": n, "stabilizer_order": 4,
+                 "orbital_match": True, "generators": [list(g) for g in witness.generators]},
+          ["witness order %d = %d x 4, orbitals match: True" % (4 * n, n)])
     return 0
 
 
@@ -640,10 +615,9 @@ def _cmd_design(args) -> int:
     scheme = scheme_core.load_asc(args.file)
     design = designs.scheme_to_design(scheme)
     ok = designs.verify_design(design, k=4, lam=3)
-    if args.json:
-        _emit_json({"n": design.n, "blocks": len(design.blocks), "k": 4, "lambda": 3, "verified": ok})
-    else:
-        print("design on %d points, %d blocks of size 4: %s" % (design.n, len(design.blocks), "pass" if ok else "FAIL"))
+    _emit(args, {"n": design.n, "blocks": len(design.blocks), "k": 4, "lambda": 3, "verified": ok},
+          ["design on %d points, %d blocks of size 4: %s"
+           % (design.n, len(design.blocks), "pass" if ok else "FAIL")])
     return 0 if ok else 1
 
 
@@ -658,18 +632,11 @@ def _cmd_report(args) -> int:
         failure = Report(
             args.file, 0, 0, None, (CheckResult(name, operation, statement, "fail", detail),)
         )
-        if args.json:
-            _emit_json(failure.to_dict())
-        else:
-            _print_report(failure)
+        _emit(args, failure.to_dict(), _report_lines(failure))
         return 1
     report = build_report(scheme, args.file, args.bound, args.cutoff, args.radius)
-    if args.json:
-        _emit_json(report.to_dict())
-    else:
-        _print_report(report)
-    failed = any(c.status == "fail" for c in report.checks)
-    return 1 if failed else 0
+    _emit(args, report.to_dict(), _report_lines(report))
+    return 1 if any(c.status == "fail" for c in report.checks) else 0
 
 
 @functools.cache  # built once: a parser is ~190 objects in reference cycles

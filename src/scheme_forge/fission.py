@@ -98,9 +98,9 @@ from .scheme_core import (
     _first_pairs,
     _path_code_blocks,
     canonical_relabel,
+    doubled_squares,
 )
 from .groups import PermGroup, _is_prime, orbits, stabilizer
-from .products import PhiPsi, phi_psi
 
 DEFAULT_CUTOFF = 3
 
@@ -344,8 +344,8 @@ def _orbit_least_sets(n: int, size: int, fixers, prefix: tuple[int, ...] = ()):
 
 
 def find_base(scheme: Scheme, cutoff: int = DEFAULT_CUTOFF, group: PermGroup | None = None,
-              fissions: dict[int, CoherentConfiguration] | None = None,
-              pp: PhiPsi | None = None) -> tuple[int, tuple[int, ...]]:
+              fissions: dict[int, CoherentConfiguration] | None = None
+              ) -> tuple[int, tuple[int, ...]]:
     """Smallest point set whose fission is complete, with its witness.
 
     Sizes are tried in increasing order, sets in lexicographic order
@@ -357,7 +357,7 @@ def find_base(scheme: Scheme, cutoff: int = DEFAULT_CUTOFF, group: PermGroup | N
     doubled-square pairs, so the witness is the same as without it.  An
     automorphism group also certifies each fission as an orbit partition
     (see point_fission).  fissions maps points to one-point fissions that are
-    already built, and pp is the scheme's phi/psi when already built.
+    already built.
     """
     if scheme.n == 1:
         return 0, ()
@@ -371,10 +371,7 @@ def find_base(scheme: Scheme, cutoff: int = DEFAULT_CUTOFF, group: PermGroup | N
                       for delta in _orbit_least_sets(
                           scheme.n, size, stabilizer(group, orbit[:1]), orbit[:1]))
         if size == 2:
-            try:
-                doubled = (phi_psi(scheme) if pp is None else pp).s2
-            except SchemeForgeError:
-                doubled = ()
+            doubled = doubled_squares(scheme)
             candidates = sorted(candidates, key=lambda p: int(scheme.color[p]) not in doubled)
         for delta in candidates:
             in_hand = size == 1 and delta[0] in known

@@ -396,6 +396,18 @@ def is_commutative(scheme: Scheme) -> bool:
     return bool(np.array_equal(np.sort(out * r + back, axis=1), np.sort(back * r + out, axis=1)))
 
 
+def doubled_squares(scheme: Scheme) -> frozenset:
+    """The colors s with s·s = 4·1 + 3s: k = 4, s self-dual (so c(s,s,0) = 4)
+    and c(s,s,s) = 3, the z with color(x,z) = color(z,y) = s at s's first pair
+    (x, y).  Then 4·1 + 3·4 already makes up k² = 16, so s·s holds nothing else."""
+    if is_k_equivalenced(scheme) != 4:
+        return frozenset()
+    out, back = _first_pair_paths(scheme.color)
+    colors = np.arange(scheme.r)
+    triangles = np.count_nonzero((out == colors[:, None]) & (back == colors[:, None]), axis=1)
+    return frozenset(map(int, np.flatnonzero((scheme.dual == colors) & (triangles == 3))))
+
+
 def indistinguishing_number(scheme: Scheme, s: int) -> int:
     """Number of points related equally to both ends of an s-pair.
 

@@ -105,6 +105,14 @@ MUTANTS = [
      "fail(p, (1, i, j, q),",
      "fail(p, (1, q, i, j),",
      "tests/test_planes.py::test_lockstep_matches_plane_by_cells_on_tampered_schemes"),
+    ("report layer gate met by any one hypothesis", "cli.py",
+     "build(ctx) if all(HYPOTHESES[h][0](ctx) for h in hypotheses)",
+     "build(ctx) if any(HYPOTHESES[h][0](ctx) for h in hypotheses)",
+     "tests/test_cli.py::test_report_layers_are_gated_like_their_checks"),
+    ("doubled squares read without the valency-4 gate", "scheme_core.py",
+     "    if is_k_equivalenced(scheme) != 4:\n        return frozenset()\n",
+     "    if False:\n        return frozenset()\n",
+     "tests/test_scheme_core.py::test_doubled_squares_match_phi_psi"),
 ]
 
 # a node that takes longer than this counts as killed, and says so

@@ -419,6 +419,92 @@ def test_fission_output_is_unchanged(case, fission_files, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == FISSION_SHA256[case]
 
 
+# sha256 of the JSON list [stdout, stderr, exit code] of `COMMAND NAME.asc
+# ARGS`, run from the file's directory, recorded while each command wrote its
+# JSON and its text in a branch of its own
+EMITTED_SHA256 = {
+    "props z5": "62d5d7c6e0009cc95e362f04a4613297d307332b0ae3c27c87ec6827b63c7e0a",
+    "props z5 --json": "f057414a98e7333e448a51132de413513b45b117c5b291e871513c5a3fb58b09",
+    "lemmas z5": "9c620c759eb1a3f0971814e107ad8cc305cfdd43d3a7b10c23f598bc4a53c94b",
+    "lemmas z5 --json": "0d92fdb918c1595d40095126273b6a26e837cf0d360ef94ed813697001763128",
+    "base z5": "6a2752a15f57fbf6654f82f6721e1a169747c7a75885dfafddbfe833b984a8c3",
+    "base z5 --json": "88c57244c4ca8de69a8475c483fe780c3e891cac37c095de8e22b7dbb249be66",
+    "base z5 --cutoff 1": "ea23baca31b65254e0b9a6fa11cbaadbcc4cd51d082b658b6f64c53375fa3477",
+    "base z5 --cutoff 1 --json": "82fa508d0009597d97486c13a90bc82fcb04ceca514036e89e3fa666c9dce0f2",
+    "design z5": "7a51d34dfa92cd12ef96c36f59c9c1cd4702d7bbc59e685104ab43fe1455810b",
+    "design z5 --json": "33b0a3024246ad5ecabe3a1f38db83a20e056a2aa22bddf210c1e0b66ca067cb",
+    "aut z5": "a9c8180810a124f7666f21db96f8d96d41fff91d770d5a7c689afe726cb2dee1",
+    "report z5": "2332c004d57db6783da022412624cd63b23db99b259f04074c96355b3de09b22",
+    "props z13": "45932f55689ce659d55c46024cc0e2031b7f8f95d5facf74686cf89fb26264a2",
+    "props z13 --json": "dff14d6411598db21680d39d2345a957763cf879641038e22a78b4afb99045f5",
+    "lemmas z13": "6eb5b7f2f6d95e5cf5a562d4e157b4dd2d436144ab55d2cf631628d53a77c3a0",
+    "lemmas z13 --json": "487c8ed2761ffc183647f16e05de4b616ad2d2d23d1708ba57c21b9f7c96f1c0",
+    "base z13": "8e61c58f79ad1a68d9fd119b133d14ae7a05c1054e57c7ee3720a8bc984ce73e",
+    "base z13 --json": "e196f703cc0e609e6b89811fea5808c1c705f7264cd5871c74b449429834a748",
+    "base z13 --cutoff 1": "ea23baca31b65254e0b9a6fa11cbaadbcc4cd51d082b658b6f64c53375fa3477",
+    "base z13 --cutoff 1 --json": "82fa508d0009597d97486c13a90bc82fcb04ceca514036e89e3fa666c9dce0f2",
+    "design z13": "f999f6375469c20f9d65a61e8d9dbb192e1c09f05daeb6acb836d03b18f65a29",
+    "design z13 --json": "1341f499fdec29d8462bc6f4dd030e60f89123dac13cadf96e10519776add954",
+    "aut z13": "787cca2235103d2b24e8380e971af14a866ff1678d87170bae54717e9ee5fbc6",
+    "report z13": "2471808e888953d6a8beb9fc08632326eefb80a5e3cc9876c7b8cfad44513e32",
+    "props v25": "b9bded707aea09dd93ec366421103fd6cef2730544d165da6f2f878233db70ed",
+    "props v25 --json": "cb2332391bae905927f16792c47738139a578426bb855d5ea6983f75199b7bbd",
+    "lemmas v25": "bbf52db4abd2964e123f86ddf69726c11132b164a2a03469139e685fe5e0ec14",
+    "lemmas v25 --json": "56b26f423b33538c71c95b91ba13fcc00972e38fd4bbc5c591c1650cb351ce57",
+    "base v25": "8e61c58f79ad1a68d9fd119b133d14ae7a05c1054e57c7ee3720a8bc984ce73e",
+    "base v25 --json": "e196f703cc0e609e6b89811fea5808c1c705f7264cd5871c74b449429834a748",
+    "base v25 --cutoff 1": "ea23baca31b65254e0b9a6fa11cbaadbcc4cd51d082b658b6f64c53375fa3477",
+    "base v25 --cutoff 1 --json": "82fa508d0009597d97486c13a90bc82fcb04ceca514036e89e3fa666c9dce0f2",
+    "design v25": "872065570071a7360777cebc981b082542d501001281573d05ca2da2c6e3a6b2",
+    "design v25 --json": "be008818bb7ef0b2a1f6782d20ca1346a9f0726663292a68a04a812c0c86bd54",
+    "aut v25": "eec2b9f9c5344c81b58a7c8d7d9fe254f794ad986847282a74eabb31acdd389e",
+    "report v25": "615a02b35d8322719879edf272af9510852a9129bf3a1a4859ca7b493a644fba",
+    "props f9": "0e3980895b27e5157f376d29e7aedbf53ae2cff4a23c4294de889a2da483b47a",
+    "props f9 --json": "94e5c1929291d30f8d962ff7458eb5e6f7957cfe0abb20e9b97ec8a7fcd5bb81",
+    "lemmas f9": "f127fa61f59aa5d6221a232d6f844ed7ef4e2ef577263e256193c087e1829141",
+    "lemmas f9 --json": "ac2b5625a2ef04ac2f97c838eb7d6c0a9f7599ef1fe6d9b3408ab2ce298a8ac3",
+    "base f9": "7b5b01f2569a7bda4c0b72fd1a2cdcc8eb450367e7ffa070b6dd23389d3f4ba5",
+    "base f9 --json": "8115f7d11732626d0afda11d9b73469c6c04f27bd3ce2a03ec1c896062d02a99",
+    "base f9 --cutoff 1": "ea23baca31b65254e0b9a6fa11cbaadbcc4cd51d082b658b6f64c53375fa3477",
+    "base f9 --cutoff 1 --json": "82fa508d0009597d97486c13a90bc82fcb04ceca514036e89e3fa666c9dce0f2",
+    "design f9": "01f5aed8d45cc5dda7d00f61191238469be504e75980b525233e317aa98a4369",
+    "design f9 --json": "5079af4b20a6cd4de4c396db1074aa9514a2700ae92cc7d555a5bc38c21137d6",
+    "aut f9": "5067c50968fec254ce14882c29203aec2cf4ef902a8178b7e507c1784cf2fdb5",
+    "report f9": "30fb05e9c8437be07852ba6e6f67ccd51681bb6751efc4d9271f8c04324e7382",
+    "props k4": "27859238884525f221861aab0d34b5ac31cc392ca4254e7dce2b04dd0d35d146",
+    "props k4 --json": "8f3333ab3480b6f0d2b65604e66fbdb786df9d2b6009f75b53fb3b0b7cb45312",
+    "lemmas k4": "f0523c955289c8ce27cef810e2115d9b1e9a069df28ce7029dde440f390dd86f",
+    "lemmas k4 --json": "f0523c955289c8ce27cef810e2115d9b1e9a069df28ce7029dde440f390dd86f",
+    "base k4": "99883dcc0e149a4a12bc392bfda673e3a7bc30237e560bbb650425766ee40bd4",
+    "base k4 --json": "d23586ea75bac923f75089f04c11a1988b43ff1be0422536bb791be40e569895",
+    "base k4 --cutoff 1": "ea23baca31b65254e0b9a6fa11cbaadbcc4cd51d082b658b6f64c53375fa3477",
+    "base k4 --cutoff 1 --json": "82fa508d0009597d97486c13a90bc82fcb04ceca514036e89e3fa666c9dce0f2",
+    "design k4": "8c12d860640f4ce81f5776f7f3cbed31090bc2cb578271af35db1f322e348de0",
+    "design k4 --json": "8c12d860640f4ce81f5776f7f3cbed31090bc2cb578271af35db1f322e348de0",
+    "aut k4": "aa6a1f9f8b4bb9513baf7d3ae84ceaaef7443b2282514a3df95c8dd16182a27c",
+    "report k4": "5fe6a9e8d78e7c3c862ede9460241a903b8505adb7707f17651e268027237117",
+}
+
+
+@pytest.fixture(scope="module")
+def emitted_dir(z5, z13, v25, f9, tmp_path_factory):
+    folder = tmp_path_factory.mktemp("emitted")
+    k4 = sf.from_matrix(1 - np.eye(4, dtype=int))
+    for name, scheme in {"z5": z5, "z13": z13, "v25": v25, "f9": f9, "k4": k4}.items():
+        sf.save_asc(scheme, str(folder / (name + ".asc")))
+    return folder
+
+
+@pytest.mark.parametrize("case", sorted(EMITTED_SHA256))
+def test_emitted_output_is_unchanged(case, emitted_dir, capsys, monkeypatch):
+    command, name, *args = case.split()
+    monkeypatch.chdir(emitted_dir)
+    code = run([command, name + ".asc", *args])
+    out, err = capsys.readouterr()
+    digest = hashlib.sha256(json.dumps([out, err, code]).encode()).hexdigest()
+    assert digest == EMITTED_SHA256[case]
+
+
 def test_fission_json(z13_file, capsys):
     assert run(["fission", z13_file, "--points", "0", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -528,10 +614,42 @@ def test_report_builds_phi_psi_once(request, monkeypatch, name):
         return original(scheme)
 
     monkeypatch.setattr(products, "phi_psi", recording)
-    monkeypatch.setattr(fission, "phi_psi", recording)
     scheme = request.getfixturevalue(name)
     build_report(scheme, name)
     assert builds == [scheme.n]
+
+
+def test_report_layers_are_gated_like_their_checks(v25, z5, monkeypatch):
+    calls = []
+    for module, name in ((products, "verify_structure_lemmas"), (groups, "automorphism_group"),
+                         (groups, "orbits"), (groups, "sigma_alpha"), (planes, "build_planes"),
+                         (fission, "point_fission")):
+        def spy(*args, _build=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _build(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+
+    def context(scheme):
+        calls.clear()
+        return cli._build_context(scheme, "", groups.DEFAULT_BOUND, fission.DEFAULT_CUTOFF,
+                                  planes.DEFAULT_RADIUS)
+
+    # v25 has Aut but no 2u+v square: no sigma, no planes
+    ctx = context(v25)
+    assert ctx["aut"] is not None and not ctx["pp"].s3
+    assert "sigma_alpha" not in calls and "build_planes" not in calls
+    assert ctx["sigma"] == {} and ctx["planes"] == {}
+    # z5 has rank 2: no one-point fissions
+    ctx = context(z5)
+    assert ctx["fissions"] == {} and "point_fission" not in calls
+    # valency 1 and 3: no layer at all
+    points = np.arange(12)
+    for scheme in (sf.from_matrix((points[None, :] - points[:, None]) % 12),
+                   sf.from_matrix(1 - np.eye(4, dtype=int))):
+        ctx = context(scheme)
+        assert calls == []
+        assert (ctx["structure"], ctx["pp"], ctx["aut"], ctx["points"]) == (None, None, None, ())
 
 
 def test_frobenius_on_group(tmp_path, capsys):
@@ -592,7 +710,8 @@ def test_commands_count_no_intersection_number(tmp_path, thin120, capsys, monkey
     c53, thin = tmp_path / "c53.asc", tmp_path / "thin120.asc"
     sf.save_asc(thin120, str(thin))
     assert run(["gen", "cyclotomic", "--p", "53", "-o", str(c53)]) == 0
-    for argv in (["check"], ["fission", "--points", "0"], ["design"], ["aut"], ["frobenius"]):
+    for argv in (["check"], ["fission", "--points", "0"], ["design"], ["aut"], ["frobenius"],
+                 ["base"], ["base", "--json"]):
         assert run([argv[0], str(c53), *argv[1:]]) == 0, argv
     for argv in (["check"], ["props"], ["report"]):
         assert run([argv[0], str(thin), *argv[1:]]) == 0, argv

@@ -277,6 +277,25 @@ def test_matrix_readers_match_the_tensor_formulas(request):
     assert not sf.is_commutative(schemes["thin_s3"])
 
 
+def test_doubled_squares_match_phi_psi(request, battery, thin120, paley13):
+    # the colors with s * s = 4*1 + 3s, read off the matrix, are phi/psi's s2
+    names = ("c53", "c101", "v125", "f9", "f9_squared")
+    schemes = {**battery, **{name: request.getfixturevalue(name) for name in names}}
+    for name, scheme in schemes.items():
+        assert scheme_core.doubled_squares(scheme) == sf.phi_psi(scheme).s2, name
+    assert scheme_core.doubled_squares(schemes["v25"])
+    # none without common valency 4: two disjoint K5 have valencies 4 and 5,
+    # though color 1 has c(1,1,1) = 3
+    part = np.arange(10) // 5
+    two_k5 = np.where(part[:, None] == part[None, :], 1, 2)
+    np.fill_diagonal(two_k5, 0)
+    two_k5 = sf.from_matrix(two_k5)
+    assert oracles.tensor_by_matmul(two_k5)[1, 1, 1] == 3
+    k4 = sf.from_matrix(1 - np.eye(4, dtype=int))
+    for scheme in (thin120, paley13, k4, two_k5):
+        assert scheme_core.doubled_squares(scheme) == frozenset()
+
+
 def test_indistinguishing_rejects_diagonal(z13):
     with pytest.raises(sf.DiagonalColor):
         sf.indistinguishing_number(z13, 0)
