@@ -495,24 +495,27 @@ def _cmd_lemmas(args) -> int:
 
 
 def _cmd_plane(args) -> int:
+    # every argument is checked before phi/psi, which builds the tensor
+    if args.radius < 1:
+        raise UsageError("--radius must be at least 1")
     scheme = scheme_core.load_asc(args.file)
-    pp = products.phi_psi(scheme)
     (alpha,) = _parse_points(str(args.alpha), scheme.n)
     if not 0 < args.s < scheme.r:
         raise UsageError("--s must be a non-diagonal color in 1..%d" % (scheme.r - 1))
-    if args.radius < 1:
-        raise UsageError("--radius must be at least 1")
+    base = None
     if args.base:
         parts = _parse_points(args.base, scheme.n)
         if len(parts) != 4:
             raise UsageError("--base needs four points: beta,gamma,delta,epsilon")
         base = (alpha, *parts)
-    else:
+    pp = products.phi_psi(scheme)
+    if base is None:
         aut = _automorphisms(scheme, args.bound)
         sigma = None if aut is None else groups.sigma_alpha(scheme, alpha, aut)
         base = _plane_base(scheme, pp, sigma, args.s, alpha)
         if base is None:
-            print("no valid base for color %d at point %d" % (args.s, alpha))
+            _emit(args, {"s": args.s, "alpha": alpha, "error": "no valid base"},
+                  ["no valid base for color %d at point %d" % (args.s, alpha)])
             return 1
     plane = planes.build_plane(scheme, pp, args.s, *base, radius=args.radius)
     invariant = planes.check_rotation_invariance(scheme, plane)

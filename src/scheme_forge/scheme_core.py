@@ -24,9 +24,10 @@ The first pair of each color and the dual map come from row 0 when it
 holds every color, as in every transitive scheme; the dual read off the
 first pairs is accepted only after it is checked on all n**2 pairs, and a
 dual given to validate must equal it.  Scheme files are read and
-written as byte arrays.  A body of ASCII digits, spaces and LFs is parsed
-in one pass; any other body parses row by row with int(), which gives the
-same matrix or the same error.
+written as byte arrays.  A body of ASCII digits, spaces and LFs with n
+runs on each of its n lines is read by numpy's text reader; any other
+body, and one with a run past int64, parses row by row with int(), which
+gives the same matrix or the same error.
 """
 
 from __future__ import annotations
@@ -481,44 +482,30 @@ def read_asc(text: str) -> Scheme:
     return _checked(n, r, mat)
 
 
-# decimal digits of the longest token the array path reads; 10**18 < 2**63
-_MAX_DIGITS = 18
-
-
 def _parse_matrix(body: str, n: int, r: int) -> np.ndarray:
     """The n x n matrix from the text after the header line.
 
-    The body is read as one byte array when it is ASCII, made only of
-    digits, spaces and LFs, as write_asc writes it, and holds n
-    LF-terminated lines of n tokens of at most _MAX_DIGITS digits each.
-    int() reads such a token as its decimal value, so the array path
-    agrees with _parse_rows there.  Any other body, with other whitespace,
-    every other int() spelling and every error, goes to _parse_rows, which
-    names the first malformed row.
+    A body that is ASCII, made only of digits, spaces and LFs, as write_asc
+    writes it, and holds n LF-terminated lines of n digit runs each, is read
+    by numpy's text reader, which reads a run as int() does.  It saturates
+    a run past int64 to the int64 maximum, where int() reads it exactly, so
+    a matrix that holds that maximum is read again by _parse_rows.  Any
+    other body, with other whitespace, every other int() spelling and every
+    error, goes to _parse_rows, which names the first malformed row.
     """
-    try:
-        buf = np.frombuffer(body.encode("ascii"), np.uint8)
-    except UnicodeEncodeError:
-        buf = np.zeros(0, np.uint8)
-    digits = buf - ord("0")
-    digit = digits < 10
-    written = digit | (buf == ord(" ")) | (buf == ord("\n"))
-    if len(buf) and buf[-1] == ord("\n") and written.all():
-        # a digit run starts and ends where the digit mask flips
-        bounds = np.flatnonzero(np.diff(digit, prepend=False, append=False))
-        starts, stops = bounds[::2], bounds[1::2]
+    data = body.encode("ascii", "replace")  # "?" for a non-ASCII char fails the gate
+    buf = np.frombuffer(data, np.uint8)
+    digit = buf - ord("0") < 10
+    if (len(buf) and buf[-1] == ord("\n")
+            and (digit | (buf == ord(" ")) | (buf == ord("\n"))).all()):
+        # a digit run starts where the digit mask turns on
+        starts = np.flatnonzero(digit & np.diff(digit, prepend=False))
         ends = np.flatnonzero(buf == ord("\n"))
-        width = int((stops - starts).max(initial=0))
-        if (len(starts) == n * n and len(ends) == n and width <= _MAX_DIGITS
+        if (len(starts) == n * n and len(ends) == n
                 and np.array_equal(np.searchsorted(starts, ends), np.arange(n, n * n + 1, n))):
-            mat = np.zeros(n * n, dtype=np.int64)
-            # Horner over the last `width` places of each run; places before
-            # its start read as 0, which leaves a shorter run's value as is
-            for place in range(width, 0, -1):
-                at = stops - place
-                mat *= 10
-                mat += np.where(at >= starts, digits.take(at, mode="clip"), 0)
-            return mat.reshape(n, n)
+            mat = np.fromstring(data, dtype=np.int64, count=n * n, sep=" ")
+            if not (mat == np.iinfo(np.int64).max).any():
+                return mat.reshape(n, n)
     return _parse_rows(body.split("\n")[:n], n, r)
 
 

@@ -1,5 +1,5 @@
-"""Kept mutants of the certificate and plane code, each with a test that must
-kill it.
+"""Kept mutants of the certificate, parse and plane code, each with a test that
+must kill it.
 
 Run from the repository root:
 
@@ -109,6 +109,14 @@ MUTANTS = [
      "build(ctx) if all(HYPOTHESES[h][0](ctx) for h in hypotheses)",
      "build(ctx) if any(HYPOTHESES[h][0](ctx) for h in hypotheses)",
      "tests/test_cli.py::test_report_layers_are_gated_like_their_checks"),
+    ("array parse keeps a run that saturated past int64", "scheme_core.py",
+     "if not (mat == np.iinfo(np.int64).max).any():",
+     "if True:",
+     "tests/test_fuzz.py::test_array_parse_matches_row_parser"),
+    ("array parse counts runs in all, not per row", "scheme_core.py",
+     "np.array_equal(np.searchsorted(starts, ends), np.arange(n, n * n + 1, n))",
+     "len(starts) == n * n",
+     "tests/test_fuzz.py::test_array_parse_matches_row_parser"),
     ("doubled squares read without the valency-4 gate", "scheme_core.py",
      "    if is_k_equivalenced(scheme) != 4:\n        return frozenset()\n",
      "    if False:\n        return frozenset()\n",

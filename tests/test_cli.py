@@ -980,6 +980,30 @@ def test_smallest_bound_and_cutoff_are_accepted(z13_file, capsys):
     assert "base number exceeds cutoff 0" in capsys.readouterr().out
 
 
+def test_plane_checks_its_arguments_before_the_tensor(tmp_path, c53, capsys, monkeypatch):
+    # a bad --s or --radius is a usage error before phi/psi reads the tensor
+    def refuse(*args, **kwargs):
+        raise AssertionError("tensor built")
+
+    monkeypatch.setattr(sf.scheme_core, "IntersectionTensor", refuse)
+    path = tmp_path / "c53.asc"
+    sf.save_asc(c53, str(path))
+    for flags in (["--s", "0"], ["--s", "1", "--radius", "0"]):
+        assert run(["plane", str(path), *flags]) == 2, flags
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage error: "), flags
+
+
+def test_plane_without_a_base_refuses_in_its_output_format(z13_file, capsys, monkeypatch):
+    # --bound 1 stops the search for Aut, so there is no sigma, and no valid base
+    monkeypatch.setattr(planes, "valid_bases", lambda *args: [])
+    argv = ["plane", z13_file, "--s", "1", "--bound", "1"]
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("no valid base for color 1 at point 0\n", "")
+    assert run(argv + ["--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"s": 1, "alpha": 0, "error": "no valid base"}
+
+
 def test_plane_falls_back_when_aut_passes_bound(z13_file, capsys):
     # |Aut| = 52 > 10: no sigma_alpha, so the plane takes the first valid base
     assert run(["plane", z13_file, "--s", "1", "--bound", "10", "--json"]) == 0

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -385,6 +386,21 @@ def test_written_files_take_the_array_parse(battery, c401, thin120, monkeypatch)
     monkeypatch.setattr(scheme_core, "_parse_rows", None)
     for scheme in (*battery.values(), c401, thin120):
         assert np.array_equal(sf.read_asc(sf.write_asc(scheme)).color, scheme.color)
+
+
+def test_array_parse_peaks_below_four_matrices(c401):
+    # the body's bytes, the gate's masks, its run starts (one int64 per
+    # entry) and the matrix: about 2.9 matrices
+    text = sf.write_asc(c401)
+    body = text[text.index("\n") + 1:]
+    tracemalloc.start()
+    try:
+        mat = scheme_core._parse_matrix(body, c401.n, c401.r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(mat, c401.color)
+    assert peak < 4 * mat.nbytes, peak / mat.nbytes
 
 
 def _first_pairs_by_sort(color):
